@@ -6,19 +6,26 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build test stress crash chaos scenarios bench bench-json publish-bench delta-bench snapshot-bench serve-bench robust-bench clippy fmt fmt-check
+.PHONY: check build test test-simd stress crash chaos scenarios bench bench-json publish-bench snapshot-bench serve-bench robust-bench clippy fmt fmt-check
 
-# The tier-1 gate: formatting, lints, release build, the full default
-# suite, then the #[ignore]-gated stress tests in release mode (the
-# parallel-search runs and the 1M-item delta-republish chain — the
-# `stress` filter matches `million_item_delta_stress` too).
-check: fmt-check clippy build test stress
+# The tier-1 gate: formatting, lints, release build, every test in the
+# workspace (crate unit tests included, not just the root package), the
+# channel crate again with the AVX2 gather kernel compiled in, then the
+# #[ignore]-gated stress tests in release mode (the parallel-search runs,
+# the million-request serving run and the 1M-item fused publish).
+check: fmt-check clippy build test test-simd stress
 
 build:
 	$(CARGO) build --release $(OFFLINE)
 
 test:
-	$(CARGO) test -q $(OFFLINE)
+	$(CARGO) test --workspace -q $(OFFLINE)
+
+# The `simd` feature swaps the chunked serve kernel's gather for the AVX2
+# path; its bit-identity tests against the scalar oracle only exercise
+# that path when the feature is on.
+test-simd:
+	$(CARGO) test -q $(OFFLINE) -p bcast-channel --features simd
 
 stress:
 	$(CARGO) test --release $(OFFLINE) -- --ignored stress
@@ -66,13 +73,7 @@ bench:
 # records live multi-tenant serving: sustained aggregate throughput and
 # worst p99 across 8 concurrent tenants in the ServeLoop, plus one row per
 # canonical day-in-the-life scenario, each asserted SLO-clean with zero
-# rebuild downtime before the numbers are written. BENCH_PR7.json records
-# the incremental delta republish lane: a churn sweep (0.01%/0.1%/1%/10%
-# reweighted per epoch) at 65k and 1M items, delta vs full warm wall time
-# with every patched epoch cross-checked bit-identical to a twin full
-# publish, the 1M rows at <=1% churn asserted >=100x faster, and the
-# PR4/PR5/PR6 headline numbers carried forward as regression context.
-# BENCH_PR8.json records the chunked serve kernel vs the scalar oracle
+# rebuild downtime before the numbers are written. BENCH_PR8.json records the chunked serve kernel vs the scalar oracle
 # (iterations interleaved against the container's throughput phases,
 # BatchMetrics asserted bit-identical, the 65k row asserted >=1.3x) and
 # the 1M-item snapshot cold-start vs the full warm publish it displaces
@@ -82,20 +83,20 @@ bench:
 # the drift-gated republish: the steady-state gated service asserted
 # >=0.70x the raw serve_batch ceiling (BENCH_PR5's zero-fault fixture,
 # efficiency taken from ceiling-paired rounds), warm steady slices
-# asserted zero-alloc under the counting allocator, and the PR5/7/8
+# asserted zero-alloc under the counting allocator, and the PR5/8
 # headline assertions re-checked from the files on disk.
 # BENCH_PR10.json records crash safety: the sustained PR-9 workload run
 # plain vs checkpointing every 24 slices (paired rounds, bit-identical
 # cross-check, overhead asserted <=5%) and a cold restore of 8 tenants x
 # 65k items driven through its first slice (restore-to-serving asserted
-# <=50 ms), with the PR7/8/9 headline assertions re-checked from disk.
+# <=50 ms), with the PR8/9 headline assertions re-checked from disk.
 bench-json:
 	$(CARGO) run --release $(OFFLINE) -p bcast-bench --features alloc-count \
 		--bin bench_json -- --merge-into BENCH_PR2.json \
 		--serving-into BENCH_PR3.json --publish-into BENCH_PR4.json \
 		--faults-into BENCH_PR5.json --serve-into BENCH_PR6.json \
-		--delta-into BENCH_PR7.json --kernel-into BENCH_PR8.json \
-		--service-into BENCH_PR9.json --robust-into BENCH_PR10.json
+		--kernel-into BENCH_PR8.json --service-into BENCH_PR9.json \
+		--robust-into BENCH_PR10.json
 
 # Regenerates only BENCH_PR4.json (fused publish at 65k/1M/4M items),
 # skipping the exact-search and serving sections.
@@ -103,17 +104,9 @@ publish-bench:
 	$(CARGO) run --release $(OFFLINE) -p bcast-bench --features alloc-count \
 		--bin bench_json -- --publish-into BENCH_PR4.json
 
-# Regenerates only BENCH_PR7.json (incremental delta republish churn
-# sweep at 65k/1M items), skipping the exact-search and serving sections;
-# the regression row is carried forward from the BENCH_PR4/5/6 files on
-# disk rather than re-measured.
-delta-bench:
-	$(CARGO) run --release $(OFFLINE) -p bcast-bench \
-		--bin bench_json -- --delta-into BENCH_PR7.json
-
 # Regenerates only BENCH_PR8.json (chunked serve kernel at 65k/1M items
 # plus the 1M snapshot cold-start), skipping every other section; the
-# regression row is carried forward from the BENCH_PR5/7 files on disk.
+# regression row is carried forward from the BENCH_PR5 file on disk.
 snapshot-bench:
 	$(CARGO) run --release $(OFFLINE) -p bcast-bench \
 		--bin bench_json -- --kernel-into BENCH_PR8.json
@@ -121,14 +114,14 @@ snapshot-bench:
 # Regenerates only BENCH_PR9.json (service/kernel efficiency + the
 # zero-alloc steady-slice gate), skipping every other section. Needs
 # alloc-count so the allocation column is real; regression rows are
-# carried forward from the BENCH_PR5/6/7/8 files on disk.
+# carried forward from the BENCH_PR5/6/8 files on disk.
 serve-bench:
 	$(CARGO) run --release $(OFFLINE) -p bcast-bench --features alloc-count \
 		--bin bench_json -- --service-into BENCH_PR9.json
 
 # Regenerates only BENCH_PR10.json (checkpoint overhead + cold restore-
 # to-serving), skipping every other section; regression rows are carried
-# forward from the BENCH_PR7/8/9 files on disk.
+# forward from the BENCH_PR8/9 files on disk.
 robust-bench:
 	$(CARGO) run --release $(OFFLINE) -p bcast-bench \
 		--bin bench_json -- --robust-into BENCH_PR10.json

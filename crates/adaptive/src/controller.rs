@@ -222,12 +222,9 @@ pub struct AdaptiveBroadcaster {
     publisher: Publisher,
     /// `wait_of[item]` — slot of the item's bucket in the current cycle.
     wait_of: Vec<f64>,
-    /// Popularity snapshot the next rebuild consumes, patched in place
-    /// from the estimator's changed set — an estimator-driven rebuild
-    /// hands over O(changed) pairs instead of cloning all `items` weights.
+    /// Popularity snapshot the next rebuild consumes, overwritten in
+    /// place by [`EmaEstimator::publish_weights`] (no per-rebuild clone).
     weights: Vec<Weight>,
-    /// Scratch for [`EmaEstimator::drain_changed`].
-    changes: Vec<(u32, Weight)>,
     cycle_len: usize,
     epoch: u64,
     rebuilds: u64,
@@ -249,7 +246,6 @@ impl AdaptiveBroadcaster {
             publisher: Publisher::new(),
             wait_of: Vec::new(),
             weights: initial_weights.to_vec(),
-            changes: Vec::new(),
             cycle_len: 0,
             epoch: 0,
             rebuilds: 0,
@@ -321,19 +317,13 @@ impl AdaptiveBroadcaster {
         self.rebuilds += 1;
     }
 
-    /// Estimator-driven rebuild: drains the changed set into the
-    /// persistent weight snapshot (O(changed) handoff, no full-vector
-    /// clone) and rebuilds from it. The snapshot equals
-    /// [`EmaEstimator::weights`] bit for bit whenever at least one epoch
-    /// has rolled since construction, because `drain_changed` applies the
-    /// same `max(1e-6)` floor; before any roll it keeps the initial
-    /// weights instead of collapsing everything to the floor.
+    /// Estimator-driven rebuild: refreshes the persistent weight
+    /// snapshot from the estimator and rebuilds from it. The snapshot
+    /// equals [`EmaEstimator::weights`] bit for bit whenever at least one
+    /// epoch has rolled since construction; before any roll it keeps the
+    /// initial weights instead of collapsing everything to the floor.
     fn rebuild_from_estimator(&mut self) {
-        self.changes.clear();
-        self.estimator.drain_changed(&mut self.changes);
-        for &(i, w) in &self.changes {
-            self.weights[i as usize] = w;
-        }
+        self.estimator.publish_weights(&mut self.weights);
         let w = std::mem::take(&mut self.weights);
         self.rebuild(&w);
         self.weights = w;

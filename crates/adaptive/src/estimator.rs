@@ -36,12 +36,10 @@ pub struct EmaEstimator {
     counts: Vec<u32>,
     estimate: Vec<f64>,
     epochs: u64,
-    /// Floored weights as of the last [`EmaEstimator::drain_changed`] —
-    /// the published snapshot the changed-set diffs against.
+    /// Floored weights as of the last [`EmaEstimator::publish_weights`] —
+    /// the published snapshot [`EmaEstimator::drift_since_publish`]
+    /// measures against.
     published: Vec<f64>,
-    /// Items whose floored weight bits moved vs `published`, deduplicated.
-    dirty: Vec<u32>,
-    dirty_flag: Vec<bool>,
 }
 
 impl EmaEstimator {
@@ -58,9 +56,7 @@ impl EmaEstimator {
             counts: vec![0; items],
             estimate: vec![0.0; items],
             epochs: 0,
-            published: vec![f64::NAN; items], // NaN ⇒ everything dirty at first drain
-            dirty: Vec::new(),
-            dirty_flag: vec![false; items],
+            published: vec![f64::NAN; items], // NaN ⇒ nothing published yet
         }
     }
 
@@ -86,53 +82,42 @@ impl EmaEstimator {
         self.counts[item] += 1;
     }
 
-    /// Ends the current epoch, folding its counts into the estimate and
-    /// marking every item whose *floored published weight* bits moved —
-    /// the epoch roll already walks all items, so dirty tracking rides
-    /// along for free and [`drain_changed`](EmaEstimator::drain_changed)
-    /// stays O(changed).
+    /// Ends the current epoch, folding its counts into the estimate.
     pub fn roll_epoch(&mut self) {
-        for (i, (est, cnt)) in self.estimate.iter_mut().zip(&mut self.counts).enumerate() {
+        for (est, cnt) in self.estimate.iter_mut().zip(&mut self.counts) {
             *est = self.alpha * (*cnt as f64) + (1.0 - self.alpha) * *est;
             *cnt = 0;
-            let floored = est.max(1e-6);
-            if floored.to_bits() != self.published[i].to_bits() && !self.dirty_flag[i] {
-                self.dirty_flag[i] = true;
-                self.dirty.push(i as u32);
-            }
         }
         self.epochs += 1;
     }
 
-    /// Items whose floored weight changed since the last
-    /// [`drain_changed`](EmaEstimator::drain_changed), ascending.
-    pub fn changed(&self) -> &[u32] {
-        &self.dirty
-    }
-
-    /// Drains the changed set into `out` as `(item, new weight)` pairs
-    /// (ascending by item, appended) and advances the published snapshot —
-    /// O(changed), so rebuild callers no longer clone the full weight
-    /// vector. Weights match [`weights`](EmaEstimator::weights) exactly:
-    /// the same `max(1e-6)` floor, bit for bit.
-    pub fn drain_changed(&mut self, out: &mut Vec<(u32, Weight)>) {
-        self.dirty.sort_unstable();
-        for &i in &self.dirty {
-            let w = self.estimate[i as usize].max(1e-6);
-            self.published[i as usize] = w;
-            self.dirty_flag[i as usize] = false;
-            out.push((
-                i,
-                Weight::new(w).expect("EMA of counts is finite, non-negative"),
-            ));
+    /// Hands a rebuild the current floored weights: overwrites `out` with
+    /// [`weights`](EmaEstimator::weights) bit for bit, without allocating,
+    /// and records them as the published snapshot
+    /// [`drift_since_publish`](EmaEstimator::drift_since_publish)
+    /// measures against. Before the first
+    /// [`roll_epoch`](EmaEstimator::roll_epoch) there is no estimate yet,
+    /// so both `out` and the snapshot are left untouched — a caller's boot
+    /// weights survive a rebuild that fires before any epoch ends.
+    ///
+    /// # Panics
+    /// Panics if `out.len()` differs from the number of tracked items.
+    pub fn publish_weights(&mut self, out: &mut [Weight]) {
+        assert_eq!(out.len(), self.estimate.len(), "one weight per item");
+        if self.epochs == 0 {
+            return;
         }
-        self.dirty.clear();
+        for ((o, p), &est) in out.iter_mut().zip(&mut self.published).zip(&self.estimate) {
+            let w = est.max(1e-6);
+            *p = w;
+            *o = Weight::new(w).expect("EMA of counts is finite, non-negative");
+        }
     }
 
     /// Relative L1 drift of the current floored estimates against the
     /// published snapshot: `Σ|wᵢ − pᵢ| / Σ pᵢ`, or `f64::INFINITY` before
-    /// the first [`drain_changed`](EmaEstimator::drain_changed) (nothing
-    /// is published yet, so everything has drifted).
+    /// the first [`publish_weights`](EmaEstimator::publish_weights)
+    /// (nothing is published yet, so everything has drifted).
     ///
     /// This is the republish gate's input: a stationary stream's EMA
     /// fluctuates by sampling noise only (drift well under ~0.2 for
@@ -185,9 +170,7 @@ impl EmaEstimator {
     /// Mid-epoch counts are encoded sparsely (`item << 32 | count`,
     /// ascending): a checkpoint is taken at an epoch boundary where
     /// [`roll_epoch`](EmaEstimator::roll_epoch) has just zeroed them, so
-    /// the dense array would be `items` words of zeros. Dirty items pack
-    /// two per word, order preserved — at snapshot scale these two runs
-    /// would otherwise dominate the estimator section.
+    /// the dense array would be `items` words of zeros.
     pub fn export_state(&self, out: &mut Vec<u64>) {
         out.push(self.alpha.to_bits());
         out.push(self.counts.len() as u64);
@@ -203,12 +186,6 @@ impl EmaEstimator {
         );
         out.extend(self.estimate.iter().map(|e| e.to_bits()));
         out.extend(self.published.iter().map(|p| p.to_bits()));
-        out.push(self.dirty.len() as u64);
-        out.extend(
-            self.dirty.chunks(2).map(|pair| {
-                u64::from(pair[0]) | (pair.get(1).map_or(0, |&hi| u64::from(hi)) << 32)
-            }),
-        );
     }
 
     /// Rebuilds an estimator from a word stream written by
@@ -255,36 +232,12 @@ impl EmaEstimator {
             .iter()
             .map(|&w| f64::from_bits(w))
             .collect();
-        let dirty_len = usize::try_from(*take(words, 1)?.first()?).ok()?;
-        if dirty_len > items {
-            return None;
-        }
-        let packed = take(words, dirty_len.div_ceil(2))?;
-        let mut dirty = Vec::with_capacity(dirty_len);
-        for k in 0..dirty_len {
-            let word = packed[k / 2];
-            dirty.push(if k % 2 == 0 {
-                word as u32
-            } else {
-                (word >> 32) as u32
-            });
-        }
-        let mut dirty_flag = vec![false; items];
-        for &d in &dirty {
-            let flag = dirty_flag.get_mut(d as usize)?;
-            if *flag {
-                return None; // duplicate dirty entry
-            }
-            *flag = true;
-        }
         Some(EmaEstimator {
             alpha,
             counts,
             estimate,
             epochs,
             published,
-            dirty,
-            dirty_flag,
         })
     }
 }
@@ -345,41 +298,30 @@ mod tests {
     }
 
     #[test]
-    fn changed_set_tracks_exactly_the_moved_weights() {
+    fn published_weights_equal_weights_and_reset_drift() {
         let mut e = EmaEstimator::new(4, 0.5);
-        let mut out = Vec::new();
-        // First drain: everything is dirty (nothing published yet), and
-        // the drained weights equal the full vector bit for bit.
-        e.roll_epoch();
-        e.drain_changed(&mut out);
-        assert_eq!(out.len(), 4);
-        for (i, &(item, w)) in out.iter().enumerate() {
-            assert_eq!(item as usize, i);
-            assert_eq!(w.get().to_bits(), e.weights()[i].get().to_bits());
+        let boot = vec![Weight::new(7.0).unwrap(); 4];
+        let mut out = boot.clone();
+        // No epoch rolled yet: the caller's boot weights survive and
+        // nothing is published.
+        e.publish_weights(&mut out);
+        assert_eq!(out, boot);
+        assert_eq!(e.drift_since_publish(), f64::INFINITY);
+        for epoch in 0..5usize {
+            for r in 0..=epoch % 4 {
+                e.observe(r);
+            }
+            e.roll_epoch();
+            e.publish_weights(&mut out);
+            for (w, x) in out.iter().zip(e.weights()) {
+                assert_eq!(w.get().to_bits(), x.get().to_bits());
+            }
+            assert_eq!(e.drift_since_publish(), 0.0, "epoch {epoch}");
         }
-        // A quiet epoch over all-zero estimates moves nothing.
-        out.clear();
+        // The snapshot holds until the next hand-off.
+        e.observe(3);
         e.roll_epoch();
-        e.drain_changed(&mut out);
-        assert!(out.is_empty(), "no weight moved, but {out:?} drained");
-        // Requests against item 2 dirty exactly item 2.
-        e.observe(2);
-        e.observe(2);
-        e.roll_epoch();
-        assert_eq!(e.changed(), &[2]);
-        e.drain_changed(&mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, 2);
-        assert_eq!(out[0].1.get().to_bits(), e.weights()[2].get().to_bits());
-        // Dirty marks deduplicate across epochs until drained.
-        out.clear();
-        e.observe(1);
-        e.roll_epoch();
-        e.observe(1);
-        e.roll_epoch();
-        assert_eq!(e.changed(), &[1, 2], "decay keeps item 2 moving");
-        e.drain_changed(&mut out);
-        assert_eq!(out.iter().map(|c| c.0).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(e.drift_since_publish() > 0.0);
     }
 
     #[test]
@@ -387,14 +329,14 @@ mod tests {
         let mut e = EmaEstimator::new(2, 0.5);
         // Nothing published yet: everything counts as drifted.
         assert_eq!(e.drift_since_publish(), f64::INFINITY);
-        let mut out = Vec::new();
+        let mut out = e.weights();
         for _ in 0..30 {
             for _ in 0..10 {
                 e.observe(0);
             }
             e.roll_epoch();
         }
-        e.drain_changed(&mut out);
+        e.publish_weights(&mut out);
         // Converged stationary stream: estimates barely move after the
         // publish, so drift stays near zero.
         for _ in 0..3 {
@@ -421,14 +363,14 @@ mod tests {
     #[test]
     fn exported_state_restores_the_exact_trajectory() {
         let mut e = EmaEstimator::new(5, 0.4);
-        let mut out = Vec::new();
+        let mut out = e.weights();
         for epoch in 0..13usize {
             for r in 0..(epoch % 4) + 1 {
                 e.observe(r);
             }
             e.roll_epoch();
             if epoch == 6 {
-                e.drain_changed(&mut out);
+                e.publish_weights(&mut out);
             }
         }
         // Mid-epoch counts survive too.
@@ -438,8 +380,8 @@ mod tests {
         let mut cursor = &words[..];
         let mut back = EmaEstimator::import_state(&mut cursor).expect("valid stream");
         assert!(cursor.is_empty(), "import must consume exactly its words");
-        // Same continuation: identical epochs, weights, drift and
-        // changed-set behaviour after more traffic on both copies.
+        // Same continuation: identical epochs, weights and drift after
+        // more traffic on both copies.
         assert_eq!(back.epochs(), e.epochs());
         assert_eq!(
             back.drift_since_publish().to_bits(),
@@ -451,7 +393,10 @@ mod tests {
             e.roll_epoch();
             back.roll_epoch();
         }
-        assert_eq!(back.changed(), e.changed());
+        assert_eq!(
+            back.drift_since_publish().to_bits(),
+            e.drift_since_publish().to_bits()
+        );
         let (ws_a, ws_b) = (e.weights(), back.weights());
         for (a, b) in ws_a.iter().zip(&ws_b) {
             assert_eq!(a.get().to_bits(), b.get().to_bits());

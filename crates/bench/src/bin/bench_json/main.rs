@@ -21,10 +21,6 @@
 //!   the `FaultPlan::none()` zero-fault row guards against PR 3.
 //! * [`pr6`] → `BENCH_PR6.json` (`--serve-into`): live multi-tenant
 //!   serving, sustained and per canonical scenario, asserted SLO-clean.
-//! * [`pr7`] → `BENCH_PR7.json` (`--delta-into`): the incremental delta
-//!   republish churn sweep, patched epochs cross-checked bit-identical,
-//!   the 1M ≤1%-churn rows asserted ≥100× faster than a full warm
-//!   republish, and per-row full-lane fallback reasons counted.
 //! * [`pr8`] → `BENCH_PR8.json` (`--kernel-into`): the chunked serve
 //!   kernel vs the scalar oracle (interleaved, bit-identical, 65k row
 //!   asserted ≥1.3×) and the 1M-item snapshot cold-start vs the full
@@ -46,7 +42,6 @@ mod pr3;
 mod pr4;
 mod pr5;
 mod pr6;
-mod pr7;
 mod pr8;
 mod pr9;
 mod report;
@@ -76,7 +71,6 @@ fn main() {
     let mut publish_into = None;
     let mut faults_into = None;
     let mut serve_into = None;
-    let mut delta_into = None;
     let mut kernel_into = None;
     let mut service_into = None;
     let mut robust_into = None;
@@ -88,7 +82,6 @@ fn main() {
             ("--publish-into", Some(path)) => publish_into = Some(path.clone()),
             ("--faults-into", Some(path)) => faults_into = Some(path.clone()),
             ("--serve-into", Some(path)) => serve_into = Some(path.clone()),
-            ("--delta-into", Some(path)) => delta_into = Some(path.clone()),
             ("--kernel-into", Some(path)) => kernel_into = Some(path.clone()),
             ("--service-into", Some(path)) => service_into = Some(path.clone()),
             ("--robust-into", Some(path)) => robust_into = Some(path.clone()),
@@ -96,8 +89,7 @@ fn main() {
                 eprintln!(
                     "usage: bench_json [--merge-into FILE] [--serving-into FILE] \
                      [--publish-into FILE] [--faults-into FILE] [--serve-into FILE] \
-                     [--delta-into FILE] [--kernel-into FILE] [--service-into FILE] \
-                     [--robust-into FILE]"
+                     [--kernel-into FILE] [--service-into FILE] [--robust-into FILE]"
                 );
                 std::process::exit(2);
             }
@@ -110,7 +102,6 @@ fn main() {
         && serving_into.is_none()
         && faults_into.is_none()
         && serve_into.is_none()
-        && delta_into.is_none()
         && kernel_into.is_none()
         && service_into.is_none()
         && robust_into.is_none();
@@ -138,31 +129,6 @@ fn main() {
             .and_then(|p| std::fs::read_to_string(p).ok());
         report::write(path, pr6::report(pr5.as_deref()));
     }
-    // `--delta-into` alone (the `make delta-bench` target) skips the
-    // exact-search section; the regression row reads the canonical file
-    // names from the working directory (freshly written when the full
-    // `make bench-json` pipeline runs, carried forward otherwise).
-    let delta_only = delta_into.is_some()
-        && merge_into.is_none()
-        && serving_into.is_none()
-        && publish_into.is_none()
-        && faults_into.is_none()
-        && serve_into.is_none()
-        && kernel_into.is_none()
-        && service_into.is_none()
-        && robust_into.is_none();
-    if let Some(path) = &delta_into {
-        let pr4 = std::fs::read_to_string("BENCH_PR4.json").ok();
-        let pr5 = std::fs::read_to_string("BENCH_PR5.json").ok();
-        let pr6 = std::fs::read_to_string("BENCH_PR6.json").ok();
-        report::write(
-            path,
-            pr7::report(pr4.as_deref(), pr5.as_deref(), pr6.as_deref()),
-        );
-    }
-    if delta_only {
-        return;
-    }
     // `--kernel-into` alone (the `make snapshot-bench` target) likewise
     // runs only the PR-8 section, carrying its regression baselines
     // forward from the files on disk.
@@ -172,13 +138,11 @@ fn main() {
         && publish_into.is_none()
         && faults_into.is_none()
         && serve_into.is_none()
-        && delta_into.is_none()
         && service_into.is_none()
         && robust_into.is_none();
     if let Some(path) = &kernel_into {
         let pr5 = std::fs::read_to_string("BENCH_PR5.json").ok();
-        let pr7 = std::fs::read_to_string("BENCH_PR7.json").ok();
-        report::write(path, pr8::report(pr5.as_deref(), pr7.as_deref()));
+        report::write(path, pr8::report(pr5.as_deref()));
     }
     if kernel_only {
         return;
@@ -192,22 +156,15 @@ fn main() {
         && publish_into.is_none()
         && faults_into.is_none()
         && serve_into.is_none()
-        && delta_into.is_none()
         && kernel_into.is_none()
         && robust_into.is_none();
     if let Some(path) = &service_into {
         let pr5 = std::fs::read_to_string("BENCH_PR5.json").ok();
         let pr6 = std::fs::read_to_string("BENCH_PR6.json").ok();
-        let pr7 = std::fs::read_to_string("BENCH_PR7.json").ok();
         let pr8 = std::fs::read_to_string("BENCH_PR8.json").ok();
         report::write(
             path,
-            pr9::report(
-                pr5.as_deref(),
-                pr6.as_deref(),
-                pr7.as_deref(),
-                pr8.as_deref(),
-            ),
+            pr9::report(pr5.as_deref(), pr6.as_deref(), pr8.as_deref()),
         );
     }
     if service_only {
@@ -222,17 +179,12 @@ fn main() {
         && publish_into.is_none()
         && faults_into.is_none()
         && serve_into.is_none()
-        && delta_into.is_none()
         && kernel_into.is_none()
         && service_into.is_none();
     if let Some(path) = &robust_into {
-        let pr7 = std::fs::read_to_string("BENCH_PR7.json").ok();
         let pr8 = std::fs::read_to_string("BENCH_PR8.json").ok();
         let pr9 = std::fs::read_to_string("BENCH_PR9.json").ok();
-        report::write(
-            path,
-            pr10::report(pr7.as_deref(), pr8.as_deref(), pr9.as_deref()),
-        );
+        report::write(path, pr10::report(pr8.as_deref(), pr9.as_deref()));
     }
     if robust_only {
         return;

@@ -20,9 +20,9 @@
 //!   uninterrupted one and the best restore-to-serving wall across
 //!   rounds is asserted ≤ 50 ms.
 //!
-//! Regression rows carried forward from the files on disk: PR-7 delta
-//! acceptance (≥ 100×), PR-8 chunked-kernel 65k speedup (≥ 1.3×), PR-9
-//! service efficiency (≥ 0.70×).
+//! Regression rows carried forward from the files on disk: PR-8
+//! chunked-kernel 65k speedup (≥ 1.3×), PR-9 service efficiency
+//! (≥ 0.70×).
 
 use crate::report::{extract_object, field_f64};
 use bcast_serve::{ServeLoop, TenantConfig};
@@ -95,7 +95,7 @@ fn sustained(dir: Option<&PathBuf>) -> (f64, Vec<(u64, SloSnapshot)>) {
 
 /// Returns the full PR-10 JSON document. Regression baselines are read
 /// from the canonical `BENCH_PR*.json` files in the working directory.
-pub fn report(pr7: Option<&str>, pr8: Option<&str>, pr9: Option<&str>) -> String {
+pub fn report(pr8: Option<&str>, pr9: Option<&str>) -> String {
     // --- checkpoint overhead, paired per round --------------------------
     let dir = scratch("pr10-overhead");
     let mut plain_wall_s = f64::INFINITY;
@@ -165,15 +165,6 @@ pub fn report(pr7: Option<&str>, pr8: Option<&str>, pr9: Option<&str>) -> String
     let _ = std::fs::remove_dir_all(&dir);
 
     // --- regression guards carried forward ------------------------------
-    let pr7_speedup = pr7
-        .and_then(|text| extract_object(text, "\"acceptance\":"))
-        .and_then(|obj| field_f64(&obj, "speedup_vs_full_warm"));
-    if let Some(speedup) = pr7_speedup {
-        assert!(
-            speedup >= 100.0,
-            "regression: PR-7 delta acceptance fell to {speedup:.1}x (>=100x required)"
-        );
-    }
     let pr8_speedup = pr8
         .and_then(|text| extract_object(text, "\"kernel\":"))
         .and_then(|obj| field_f64(&obj, "speedup"));
@@ -209,8 +200,8 @@ pub fn report(pr7: Option<&str>, pr8: Option<&str>, pr9: Option<&str>) -> String
             "bit-identical against the uninterrupted run, best ",
             "restore-to-serving wall across {} rounds asserted <= 50 ms; ",
             "regression rows carried forward and re-asserted from the ",
-            "BENCH_PR7/8/9 files on disk\",\n",
-            "  \"machine\": \"1-core Linux container\",\n",
+            "BENCH_PR8/9 files on disk\",\n",
+            "  \"machine\": \"{machine}\",\n",
             "  \"checkpoint_overhead\": {{\"tenants\": {}, \"items\": {}, ",
             "\"rate\": {}, \"timed_slices\": {}, \"cadence_slices\": {}, ",
             "\"plain_wall_s\": {:.3}, \"checkpoint_wall_s\": {:.3}, ",
@@ -218,8 +209,8 @@ pub fn report(pr7: Option<&str>, pr8: Option<&str>, pr9: Option<&str>) -> String
             "  \"restore\": {{\"tenants\": {}, \"items\": {}, ",
             "\"manifest_bytes\": {}, \"restore_to_serving_ms\": {:.2}, ",
             "\"asserted_max_ms\": 50.0}},\n",
-            "  \"regression\": {{\"pr7_acceptance_speedup\": {}, ",
-            "\"pr8_kernel_speedup_65k\": {}, \"pr9_service_efficiency\": {}}}\n}}\n"
+            "  \"regression\": {{\"pr8_kernel_speedup_65k\": {}, ",
+            "\"pr9_service_efficiency\": {}}}\n}}\n"
         ),
         TENANTS,
         SEED,
@@ -244,8 +235,8 @@ pub fn report(pr7: Option<&str>, pr8: Option<&str>, pr9: Option<&str>) -> String
         RESTORE_ITEMS,
         manifest_bytes,
         restore_ms,
-        fmt(pr7_speedup, 1),
         fmt(pr8_speedup, 2),
-        fmt(pr9_efficiency, 3)
+        fmt(pr9_efficiency, 3),
+        machine = crate::report::machine_label(),
     )
 }

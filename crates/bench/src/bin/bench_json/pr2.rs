@@ -100,9 +100,11 @@ pub fn report(previous: Option<&str>) -> String {
             "  \"description\": \"sequential pruned best-first (Packed bound, ",
             "Property 1): wall time and search counters, before vs after the ",
             "incremental-bound + interned dominance table change\",\n",
-            "  \"machine\": \"1-core Linux container\",\n",
+            "  \"machine\": \"{machine}\",\n",
             "  \"before\": {},\n  \"after\": {}\n}}\n"
         ),
-        before, after
+        before,
+        after,
+        machine = crate::report::machine_label(),
     )
 }

@@ -76,7 +76,7 @@ pub fn report() -> String {
             "fanout {}, {} channels): scalar pointer-walking access() loop ",
             "vs compiled route tables (serve_batch, 1 thread); identical ",
             "request sequence, means cross-checked to 1e-9\",\n",
-            "  \"machine\": \"1-core Linux container\",\n",
+            "  \"machine\": \"{machine}\",\n",
             "  \"compile_ms\": {:.3},\n",
             "  \"mean_access_time_slots\": {:.3},\n",
             "  \"before\": {{\"path\": \"scalar simulator::access\", ",
@@ -96,6 +96,7 @@ pub fn report() -> String {
         REQUESTS,
         batch_s,
         after_rps,
-        after_rps / before_rps
+        after_rps / before_rps,
+        machine = crate::report::machine_label(),
     )
 }

@@ -231,7 +231,7 @@ pub fn report(previous: Option<&str>) -> String {
             "path that runs is asserted bit-identical to the fused output; ",
             "warm = republish into reused buffers (the steady-state ",
             "path)\",\n",
-            "  \"machine\": \"1-core Linux container\",\n",
+            "  \"machine\": \"{machine}\",\n",
             "  \"alloc_counting\": {},\n",
             "  \"seed_note\": \"the seed path is measured once per machine ",
             "(~6 s at 65k, ~25 min at 1M) and carried forward on ",
@@ -249,6 +249,7 @@ pub fn report(previous: Option<&str>) -> String {
         speedup_seed_1m
             .map(|s| format!("{s:.1}"))
             .unwrap_or_else(|| "null".into()),
-        speedup_api_1m
+        speedup_api_1m,
+        machine = crate::report::machine_label(),
     )
 }

@@ -133,7 +133,7 @@ pub fn report(pr3: Option<&str>) -> String {
             "guard vs BENCH_PR3.json after); scenarios = the standard fault ",
             "grid served through the recovery engine; the clean scenario is ",
             "cross-checked against the fast path to 1e-9\",\n",
-            "  \"machine\": \"1-core Linux container\",\n",
+            "  \"machine\": \"{machine}\",\n",
             "  \"zero_fault\": {{\"wall_s\": {:.3}, \"rps\": {:.0}, ",
             "\"mean_access_time_slots\": {:.3}, \"pr3_after_rps\": {}, ",
             "\"vs_pr3\": {}}},\n",
@@ -147,6 +147,7 @@ pub fn report(pr3: Option<&str>) -> String {
         zero_mean,
         pr3_after_rps.map_or("null".into(), |r| format!("{r:.0}")),
         pr3_after_rps.map_or("null".into(), |r| format!("{:.3}", zero_rps / r)),
-        rows.join(",\n")
+        rows.join(",\n"),
+        machine = crate::report::machine_label(),
     )
 }

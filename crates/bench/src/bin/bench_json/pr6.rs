@@ -117,7 +117,7 @@ pub fn report(pr5: Option<&str>) -> String {
             "tenants, 256 items, rate 4000, 24 slices/phase), each asserted ",
             "SLO-clean; pr5_zero_fault_rps is the single-tenant raw ",
             "serve_batch ceiling from BENCH_PR5.json for context\",\n",
-            "  \"machine\": \"1-core Linux container\",\n",
+            "  \"machine\": \"{machine}\",\n",
             "  \"sustained\": {{\"tenants\": {}, \"requests\": {}, ",
             "\"wall_s\": {:.3}, \"rps\": {:.0}, \"worst_p99_slots\": {}, ",
             "\"rebuilds\": {}, \"downtime_slots\": 0}},\n",
@@ -137,6 +137,7 @@ pub fn report(pr5: Option<&str>) -> String {
         worst_p99,
         rebuilds,
         pr5_zero_rps.map_or("null".into(), |r| format!("{r:.0}")),
-        rows.join(",\n")
+        rows.join(",\n"),
+        machine = crate::report::machine_label(),
     )
 }

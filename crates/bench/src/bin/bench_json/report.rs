@@ -45,3 +45,11 @@ pub fn write(path: &str, doc: String) {
     std::fs::write(path, doc).expect("write report");
     eprintln!("wrote {path}");
 }
+
+/// The `"machine"` label every report carries, read from the runtime so a
+/// ledger row names the CPU count it was measured with (e.g. `"2-CPU
+/// linux host"`).
+pub fn machine_label() -> String {
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    format!("{cpus}-CPU {} host", std::env::consts::OS)
+}

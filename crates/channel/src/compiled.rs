@@ -25,7 +25,7 @@
 //! `switches`). Slots are 1-based, so `slot == 0` doubles as the
 //! "unrouted" sentinel — there is no separate `routed` bitmap to load per
 //! request. The columns remain the canonical representation (the oracle
-//! path, the delta patch lanes and the snapshot format all read them), but
+//! path and the snapshot format read them), but
 //! the batch engine serves from an interleaved mirror: one 16-byte record
 //! `[slot, path_len, switches, 0]` per node, so a request's entire route
 //! costs **one** cache-line touch instead of three — on a Zipf workload
@@ -244,48 +244,6 @@ impl CompiledProgram {
         self.switches[i] = switches;
         self.packed[i] = [slot, path_len, switches, 0];
         self.num_data += 1;
-    }
-
-    /// Overwrites an *existing* data route record in place — the delta
-    /// republish lane's counterpart of [`record_data`]: `path_len` (the
-    /// node's level) and `num_data` are invariant under a repack, so only
-    /// the slot and switch count move.
-    ///
-    /// [`record_data`]: CompiledProgram::record_data
-    #[inline]
-    pub(crate) fn patch_data(&mut self, node: NodeId, slot: u32, switches: u32) {
-        let i = node.index();
-        debug_assert!(self.slot[i] != 0, "patch_data targets an existing record");
-        debug_assert!(slot != 0, "slots are 1-based");
-        self.slot[i] = slot;
-        self.switches[i] = switches;
-        self.packed[i][0] = slot;
-        self.packed[i][2] = switches;
-    }
-
-    /// Reconciles one node's route record from `other` — the delta lane's
-    /// journal replay. Only `slot` and `switches` can differ between the
-    /// double-buffer halves after an in-place patch: `path_len`,
-    /// `num_data` and the cycle length are all repack-invariant.
-    #[inline]
-    pub(crate) fn copy_record_from(&mut self, other: &CompiledProgram, node: NodeId) {
-        let i = node.index();
-        self.slot[i] = other.slot[i];
-        self.switches[i] = other.switches[i];
-        self.packed[i] = other.packed[i];
-    }
-
-    /// Makes `self` a bit-identical copy of `other`, reusing this buffer's
-    /// capacity (`Vec::clone_from` per column — memcpy-grade, no
-    /// allocation once capacities match). The delta lane seeds the back
-    /// buffer from the served front program before patching dirty records.
-    pub(crate) fn copy_from(&mut self, other: &CompiledProgram) {
-        self.cycle_len = other.cycle_len;
-        self.slot.clone_from(&other.slot);
-        self.path_len.clone_from(&other.path_len);
-        self.switches.clone_from(&other.switches);
-        self.packed.clone_from(&other.packed);
-        self.num_data = other.num_data;
     }
 
     /// Cycle length in slots.

@@ -134,37 +134,12 @@ impl SlotPlan {
     /// The members of committed slot `i` (0-based).
     #[inline]
     pub fn slot(&self, i: usize) -> &[NodeId] {
-        &self.members[self.slot_range(i)]
-    }
-
-    /// The `members` index range of committed slot `i` (0-based) — the
-    /// delta republish lane maps its position-space repairs through these
-    /// global offsets.
-    #[inline]
-    pub fn slot_range(&self, i: usize) -> std::ops::Range<usize> {
         let start = if i == 0 {
             0
         } else {
             self.slot_ends[i - 1] as usize
         };
-        start..self.slot_ends[i] as usize
-    }
-
-    /// The concatenated member array across committed slots, in slot-major
-    /// order (see [`slot_range`](SlotPlan::slot_range) for the boundaries).
-    #[inline]
-    pub fn members(&self) -> &[NodeId] {
-        &self.members[..self.node_count()]
-    }
-
-    /// Overwrites the member at global offset `idx` — the delta lane's
-    /// patch-in-place primitive. The slot boundaries are invariant under a
-    /// repack (validated repairs never change per-slot counts), so only
-    /// member identities move.
-    #[inline]
-    pub fn set_member(&mut self, idx: usize, node: NodeId) {
-        debug_assert!(idx < self.node_count(), "patch lands in a committed slot");
-        self.members[idx] = node;
+        &self.members[start..self.slot_ends[i] as usize]
     }
 
     /// Iterates the committed slots as subslices.
@@ -220,15 +195,6 @@ pub struct PublishPipeline {
     /// The buffer the next publish builds into (previous epoch's tables,
     /// capacity recycled).
     back: CompiledProgram,
-    /// Data nodes whose route records the last `republish_delta` patched —
-    /// exactly where `front` and `back` may differ while `back_journaled`
-    /// holds, so the next patch reconciles in O(patched) instead of
-    /// copying every record.
-    journal: Vec<NodeId>,
-    /// True when `back` is the previous epoch's program, stale only at
-    /// `journal`'s records; false after a full publish (the spare buffer
-    /// is then arbitrarily stale and must be seeded by a full copy).
-    back_journaled: bool,
 }
 
 impl PublishPipeline {
@@ -281,11 +247,6 @@ impl PublishPipeline {
         let n = tree.len();
         let k = num_channels;
 
-        // The full rebuild overwrites the spare buffer wholesale (and on
-        // error leaves it half-written), so the journal no longer bounds
-        // the front/back divergence either way.
-        self.back_journaled = false;
-        self.journal.clear();
         self.channel_of.clear();
         self.channel_of.resize(n, u16::MAX);
         self.slot_of.clear();
@@ -367,187 +328,6 @@ impl PublishPipeline {
         Ok(&self.front)
     }
 
-    /// Pre-seeds the spare buffer as a bit-copy of the served program, so
-    /// the *next* [`republish_delta`] finds it journal-reconciled and pays
-    /// no O(n) copy on the patch path. Callers that maintain a delta
-    /// snapshot (the `bcast_core` publisher after a `Sorting` publish)
-    /// invoke this at full-publish time, where one extra table copy is
-    /// noise against the rebuild it rides on; pure full-publish users skip
-    /// it and keep the copy lazy.
-    ///
-    /// [`republish_delta`]: PublishPipeline::republish_delta
-    pub fn preseed_back(&mut self) {
-        if self.back_journaled {
-            return;
-        }
-        self.back.copy_from(&self.front);
-        self.journal.clear();
-        self.back_journaled = true;
-    }
-
-    /// Delta republish: patches the compiled tables instead of rebuilding
-    /// them. `plan` must be the last published plan with only *validated*
-    /// in-place repairs applied (same cycle length, same per-slot member
-    /// counts, every member's parent still in a strictly earlier slot —
-    /// `bcast_core`'s delta engine falls back to [`publish`] otherwise),
-    /// and `dirty[i]` must be true for every slot whose member set changed
-    /// (both the old and new slot of every moved node).
-    ///
-    /// The back buffer is first reconciled with the served front program:
-    /// after a previous patch the two halves differ only at the records
-    /// that patch journaled, so reconciliation replays the journal in
-    /// O(patched); after a full publish the spare buffer is arbitrarily
-    /// stale and a full bit-copy seeds it instead. The patch lane's
-    /// steady-state cost therefore has no O(n) copy floor — it scales
-    /// with what actually changed. Dirty slots are then re-assigned
-    /// ascending with the *identical* §3.1 per-slot rules as [`publish`]:
-    /// rank-sorted members, root/parent preference, lowest-free fallback.
-    /// Whenever a node's `(channel, slot, switches)` triple moves, its
-    /// children's slots are marked dirty — channel switches are cumulative
-    /// along root paths, and children always air in strictly later slots,
-    /// so the ascending sweep carries every cascade. Slots never marked
-    /// dirty provably re-derive their old assignment (same members, same
-    /// parent state), which is why skipping them is exact: the result is
-    /// bit-identical to a full [`publish`] of the patched plan, pinned by
-    /// `tests/delta_republish.rs`.
-    ///
-    /// On return the patched program has been swapped to the front buffer.
-    ///
-    /// # Panics
-    /// Panics if no publish succeeded yet, or `tree` / `num_channels` /
-    /// `dirty.len()` disagree with the last published epoch.
-    ///
-    /// [`publish`]: PublishPipeline::publish
-    pub fn republish_delta(
-        &mut self,
-        tree: &IndexTree,
-        plan: &SlotPlan,
-        num_channels: usize,
-        dirty: &mut [bool],
-    ) -> &CompiledProgram {
-        let k = num_channels;
-        assert_eq!(
-            k, self.num_channels,
-            "channel count changed; full publish required"
-        );
-        assert_eq!(
-            self.channel_of.len(),
-            tree.len(),
-            "tree changed; full publish required"
-        );
-        assert_eq!(dirty.len(), plan.len(), "one dirty flag per slot");
-        assert_eq!(
-            self.front.cycle_len(),
-            plan.len(),
-            "cycle length is repack-invariant"
-        );
-        if self.back_journaled {
-            // The spare half is last epoch's program, stale only at the
-            // records the last patch journaled.
-            for i in 0..self.journal.len() {
-                self.back.copy_record_from(&self.front, self.journal[i]);
-            }
-        } else {
-            self.back.copy_from(&self.front);
-        }
-        self.journal.clear();
-
-        for offset in 0..plan.len() {
-            if !dirty[offset] {
-                continue;
-            }
-            let slot = offset as u32 + 1;
-            let members = plan.slot(offset);
-            self.ordered.clear();
-            self.ordered.extend_from_slice(members);
-            self.ordered
-                .sort_unstable_by_key(|&m| tree.preorder_rank(m));
-            self.used.fill(false);
-            self.deferred.clear();
-
-            // Pass 1: honor root / parent-channel preferences.
-            for i in 0..self.ordered.len() {
-                let node = self.ordered[i];
-                let preferred = if node == tree.root() {
-                    Some(0usize)
-                } else {
-                    // Parents air strictly earlier, so their patched
-                    // assignment is already final in this ascending sweep.
-                    tree.parent(node)
-                        .map(|p| usize::from(self.channel_of[p.index()]))
-                };
-                match preferred {
-                    Some(c) if c < k && !self.used[c] => {
-                        self.used[c] = true;
-                        self.patch_place(tree, node, c, slot, dirty);
-                    }
-                    _ => self.deferred.push(node),
-                }
-            }
-            // Pass 2: everything else onto the lowest free channels.
-            let mut next_free = 0usize;
-            for i in 0..self.deferred.len() {
-                let node = self.deferred[i];
-                while next_free < k && self.used[next_free] {
-                    next_free += 1;
-                }
-                debug_assert!(next_free < k, "validated repairs never widen a slot past k");
-                self.used[next_free] = true;
-                self.patch_place(tree, node, next_free, slot, dirty);
-            }
-        }
-
-        std::mem::swap(&mut self.front, &mut self.back);
-        self.back_journaled = true;
-        &self.front
-    }
-
-    /// [`republish_delta`]'s placement: recomputes `node`'s
-    /// `(channel, slot, switches)` and, only if the triple moved, updates
-    /// the flat arrays, patches the route record (data nodes), and marks
-    /// the children's slots dirty to carry the cascade.
-    ///
-    /// [`republish_delta`]: PublishPipeline::republish_delta
-    #[inline]
-    fn patch_place(
-        &mut self,
-        tree: &IndexTree,
-        node: NodeId,
-        channel: usize,
-        slot: u32,
-        dirty: &mut [bool],
-    ) {
-        let i = node.index();
-        let switches = match tree.parent(node) {
-            None => 0,
-            Some(p) => {
-                debug_assert!(
-                    self.slot_of[p.index()] != 0 && self.slot_of[p.index()] < slot,
-                    "validated repairs keep parents strictly earlier"
-                );
-                self.switches[p.index()] + u32::from(self.channel_of[p.index()] != channel as u16)
-            }
-        };
-        let ch = u16::try_from(channel).expect("channel fits ChannelId");
-        if self.channel_of[i] == ch && self.slot_of[i] == slot && self.switches[i] == switches {
-            return;
-        }
-        self.channel_of[i] = ch;
-        self.slot_of[i] = slot;
-        self.switches[i] = switches;
-        if tree.is_data(node) {
-            self.back.patch_data(node, slot, switches);
-            self.journal.push(node);
-        } else {
-            for &c in tree.children(node) {
-                // A moved child's *new* slot is already dirty (the core
-                // engine seeds both endpoints), so marking its possibly
-                // stale stored slot here is safe either way.
-                dirty[self.slot_of[c.index()] as usize - 1] = true;
-            }
-        }
-    }
-
     /// Places `node` on `(channel, slot)`: feasibility checks, switch
     /// accumulation, and the route-table write for data nodes.
     #[inline]
@@ -620,13 +400,11 @@ impl PublishPipeline {
         assert!(num_channels > 0, "need at least one channel");
         self.front = program;
         self.num_channels = num_channels;
-        // No placement state: the adopted program serves, but the delta
-        // lane and the address queries must not trust stale arrays.
+        // No placement state: the adopted program serves, but the address
+        // queries must not trust stale arrays.
         self.channel_of.clear();
         self.slot_of.clear();
         self.switches.clear();
-        self.journal.clear();
-        self.back_journaled = false;
     }
 
     /// Reconstructs the full pointer-grid [`BroadcastProgram`] of the last

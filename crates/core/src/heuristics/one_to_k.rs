@@ -74,33 +74,12 @@ pub struct DistributeScratch {
     pos_children: Vec<u32>,
     /// Positions placed in the slot being filled.
     slot_pos: Vec<u32>,
-    /// Slot index of the first slot committed by the last level's dump in
-    /// the most recent run (`u32::MAX` before any run). Slots before this
-    /// were committed by inner levels; the delta lane (`crate::delta`)
-    /// only repairs dump slots in place.
-    first_dump_slot: u32,
-    /// Inner-level placements of the most recent run, in commit order:
-    /// `(node, level, slot)` for every node an inner (non-dump) level's
-    /// single slot took. At most `k · depth` entries — the delta lane
-    /// derives per-level position guards from this log.
-    inner_log: Vec<(NodeId, u32, u32)>,
 }
 
 impl DistributeScratch {
     /// Empty scratch; the first call sizes the buffers to the tree.
     pub fn new() -> Self {
         DistributeScratch::default()
-    }
-
-    /// Slot index where the most recent run's last-level dump began
-    /// (`u32::MAX` before any run).
-    pub(crate) fn first_dump_slot(&self) -> u32 {
-        self.first_dump_slot
-    }
-
-    /// Inner-level placements `(node, level, slot)` of the most recent run.
-    pub(crate) fn inner_log(&self) -> &[(NodeId, u32, u32)] {
-        &self.inner_log
     }
 }
 
@@ -250,11 +229,7 @@ pub fn distribute_into(
         pos_starts,
         pos_children,
         slot_pos,
-        first_dump_slot,
-        inner_log,
     } = scratch;
-    *first_dump_slot = u32::MAX;
-    inner_log.clear();
 
     // Inverse permutation (and the duplicate check that makes it one).
     seq.clear();
@@ -316,7 +291,6 @@ pub fn distribute_into(
             // same cache misses, but overlapped by the CPU instead of
             // serialized behind each slot's pops.
             debug_assert!(carry.is_empty());
-            *first_dump_slot = slot;
             pos_starts.clear();
             pos_starts.reserve(order.len() + 1);
             pos_starts.push(0);
@@ -386,7 +360,6 @@ pub fn distribute_into(
             if plan.open_len() > 0 {
                 for &n in plan.open_members() {
                     slot_of[n.index()] = slot;
-                    inner_log.push((n, level as u32, slot));
                 }
                 plan.commit_slot();
                 slot += 1;

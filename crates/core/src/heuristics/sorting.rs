@@ -52,17 +52,15 @@ const RADIX_MIN: usize = 64;
 #[derive(Debug, Default)]
 pub struct SortScratch {
     /// Per-node sort key: descending subtree density encoded so plain
-    /// ascending `u64` order gives the paper's `>` order. The delta
-    /// republish lane (`crate::delta`) patches dirty entries in place.
-    pub(crate) keys: Vec<u64>,
+    /// ascending `u64` order gives the paper's `>` order.
+    keys: Vec<u64>,
     /// Working copy of the tree's CSR child table whose per-parent ranges
-    /// are sorted in place. Persistent across publishes: the delta lane
-    /// re-sorts only the dirty parents' ranges.
-    pub(crate) sorted: Vec<NodeId>,
+    /// are sorted in place.
+    sorted: Vec<NodeId>,
     /// DFS emit stack.
-    pub(crate) stack: Vec<NodeId>,
+    stack: Vec<NodeId>,
     /// Radix-scatter buffer for wide child ranges.
-    pub(crate) radix: Vec<NodeId>,
+    radix: Vec<NodeId>,
 }
 
 impl SortScratch {
@@ -77,7 +75,7 @@ impl SortScratch {
 /// so the quotient is a non-negative finite `f64`, whose IEEE bit pattern
 /// is monotone in the value; complementing the bits reverses the order.
 #[inline]
-pub(crate) fn density_key(weight: f64, size: u32) -> u64 {
+fn density_key(weight: f64, size: u32) -> u64 {
     !(weight / f64::from(size)).to_bits()
 }
 
@@ -93,7 +91,7 @@ fn fill_keys(tree: &IndexTree, lo: usize, part: &mut [u64]) {
 /// Sorts one child range in place by `(key, id)` — descending density,
 /// ascending id tie-break. The range arrives in CSR order (ascending id),
 /// so the stable radix path needs no explicit tie-break digit.
-pub(crate) fn sort_range(range: &mut [NodeId], keys: &[u64], tmp: &mut Vec<NodeId>) {
+fn sort_range(range: &mut [NodeId], keys: &[u64], tmp: &mut Vec<NodeId>) {
     if range.len() < RADIX_MIN {
         range.sort_unstable_by(|&a, &b| keys[a.index()].cmp(&keys[b.index()]).then(a.cmp(&b)));
         return;

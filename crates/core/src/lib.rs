@@ -33,7 +33,6 @@ pub mod best_first;
 pub mod bound;
 pub mod corollary;
 pub mod data_tree;
-pub mod delta;
 pub mod heuristics;
 pub mod optimal;
 pub mod parallel;
@@ -44,7 +43,6 @@ pub mod schedule;
 pub mod seqset;
 pub mod topo_tree;
 
-pub use delta::{DeltaLane, DeltaOptions, DeltaReport, FullReason};
 pub use optimal::{find_optimal, OptimalOptions, OptimalResult, SearchError, Strategy};
 pub use publish::{PublishHeuristic, PublishOptions, Publisher};
 pub use schedule::Schedule;

@@ -68,17 +68,13 @@ impl Default for PublishOptions {
 /// a failed publish leaves it untouched.
 #[derive(Debug, Default)]
 pub struct Publisher {
-    pub(crate) sort: SortScratch,
-    pub(crate) dist: DistributeScratch,
+    sort: SortScratch,
+    dist: DistributeScratch,
     pack: PackScratch,
     frontier: FrontierScratch,
-    pub(crate) order: Vec<NodeId>,
-    pub(crate) plan: SlotPlan,
-    pub(crate) pipeline: PublishPipeline,
-    /// Persistent diff state for the incremental republish lane
-    /// ([`Publisher::republish_delta`] in [`crate::delta`]); rebuilt after
-    /// every successful full `Sorting` publish, invalid otherwise.
-    pub(crate) delta: crate::delta::DeltaState,
+    order: Vec<NodeId>,
+    plan: SlotPlan,
+    pipeline: PublishPipeline,
 }
 
 impl Publisher {
@@ -136,27 +132,6 @@ impl Publisher {
             }
         }
         self.pipeline.publish(tree, &self.plan, k)?;
-        // Snapshot the diff state the delta lane repairs against. Only the
-        // Sorting heuristic has an incremental twin; any other publish
-        // invalidates the state so `republish_delta` falls back cleanly.
-        match heuristic {
-            PublishHeuristic::Sorting if k == 1 => {
-                self.delta.rebuild(tree, k, &self.order, &self.plan, 0, &[]);
-                self.pipeline.preseed_back();
-            }
-            PublishHeuristic::Sorting => {
-                self.delta.rebuild(
-                    tree,
-                    k,
-                    &self.order,
-                    &self.plan,
-                    self.dist.first_dump_slot(),
-                    self.dist.inner_log(),
-                );
-                self.pipeline.preseed_back();
-            }
-            _ => self.delta.invalidate(),
-        }
         Ok(self.pipeline.current())
     }
 
@@ -175,13 +150,9 @@ impl Publisher {
     }
 
     /// Installs a snapshot-loaded program as the served one, bypassing
-    /// the publish path entirely — the microsecond cold-start. The
-    /// incremental delta state is invalidated (there is no diff baseline
-    /// for a program this publisher never derived), so the next
-    /// `republish_delta` falls back to a full publish cleanly.
+    /// the publish path entirely — the microsecond cold-start.
     pub fn adopt_snapshot(&mut self, program: CompiledProgram, channels: usize) {
         self.pipeline.adopt_program(program, channels);
-        self.delta.invalidate();
     }
 
     /// The slot plan behind the most recent publish attempt.

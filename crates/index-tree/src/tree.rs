@@ -144,55 +144,6 @@ impl IndexTree {
         self.nodes.is_empty()
     }
 
-    /// Re-weights a set of data nodes in place, repairing the cached
-    /// subtree-weight table along the touched ancestor paths only —
-    /// `O(|updates| · depth · fanout)` instead of a full rebuild.
-    ///
-    /// Tree *structure* (children, levels, preorder, subtree sizes) is
-    /// untouched, so every structural cache stays valid. Dirty subtree
-    /// weights are recomputed with the exact accumulation order of
-    /// [`IndexTree::from_arena`] (children folded in reverse child order),
-    /// so the repaired table is **bit-identical** to the one a from-scratch
-    /// build over the new weights would produce — the property the delta
-    /// republish lane's density keys rely on.
-    ///
-    /// # Panics
-    /// Panics if any updated node is not a data node.
-    pub fn reweight(&mut self, updates: &[(NodeId, Weight)]) {
-        if updates.is_empty() {
-            return;
-        }
-        // Leaves: a data node's subtree weight is its own weight.
-        for &(id, w) in updates {
-            assert!(self.is_data(id), "reweight targets data nodes, got {id}");
-            self.nodes[id.index()].weight = w;
-            self.subtree_weights[id.index()] = w;
-        }
-        // Collect every proper ancestor of an updated leaf, deduplicated,
-        // deepest first (equal levels are independent of each other).
-        let mut dirty: Vec<NodeId> = Vec::new();
-        for &(id, _) in updates {
-            let mut cur = self.nodes[id.index()].parent;
-            while let Some(p) = cur {
-                dirty.push(p);
-                cur = self.nodes[p.index()].parent;
-            }
-        }
-        dirty.sort_unstable_by_key(|&p| (std::cmp::Reverse(self.levels[p.index()]), p));
-        dirty.dedup();
-        // `from_arena` folds subtree weights into each parent by walking the
-        // preorder in reverse: parent starts at ZERO (index nodes carry no
-        // weight of their own) and children are added last-to-first.
-        for &p in &dirty {
-            let mut acc = Weight::ZERO;
-            for &c in self.nodes[p.index()].children.iter().rev() {
-                acc += self.subtree_weights[c.index()];
-            }
-            self.subtree_weights[p.index()] = acc;
-        }
-        self.total_weight = self.subtree_weights[0];
-    }
-
     /// The root node id (`NodeId::ROOT`).
     #[inline]
     pub fn root(&self) -> NodeId {
@@ -492,68 +443,5 @@ mod tests {
         let t = builders::paper_example();
         // A,B at level 3 (20+10)*3 = 90; E at level 3: 54; C,D at level 4: 88.
         assert_eq!(t.weighted_path_length(), 90.0 + 54.0 + 88.0);
-    }
-
-    #[test]
-    fn reweight_matches_from_scratch_rebuild_bit_for_bit() {
-        // Fractional weights make f64 accumulation order observable: the
-        // repaired subtree-weight table must match a from-scratch build
-        // over the mutated arena down to the last bit, not just approximately.
-        let weights: Vec<Weight> = (1..=27u32)
-            .map(|i| Weight::new(f64::from(i) * 0.3 + 0.07).unwrap())
-            .collect();
-        let mut live = builders::full_balanced(3, 4, &weights).unwrap();
-        let updates: Vec<(NodeId, Weight)> = live
-            .data_nodes()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 3 == 0)
-            .map(|(i, &d)| (d, Weight::new(0.11 * (i + 1) as f64).unwrap()))
-            .collect();
-        let mut arena: Vec<super::Node> = (0..live.len())
-            .map(|i| live.node(NodeId::from_index(i)).clone())
-            .collect();
-        for &(id, w) in &updates {
-            arena[id.index()].weight = w;
-        }
-        let twin = super::IndexTree::from_arena(arena);
-        live.reweight(&updates);
-        for i in 0..live.len() {
-            let id = NodeId::from_index(i);
-            assert_eq!(
-                live.weight(id).get().to_bits(),
-                twin.weight(id).get().to_bits(),
-                "weight of node {i}"
-            );
-            assert_eq!(
-                live.subtree_weight(id).get().to_bits(),
-                twin.subtree_weight(id).get().to_bits(),
-                "subtree weight of node {i}"
-            );
-        }
-        assert_eq!(
-            live.total_weight().get().to_bits(),
-            twin.total_weight().get().to_bits()
-        );
-        // Structure is untouched, so every structural cache stays equal.
-        assert_eq!(live.preorder(), twin.preorder());
-        assert_eq!(live.subtree_size_table(), twin.subtree_size_table());
-        assert_eq!(live.level_table(), twin.level_table());
-    }
-
-    #[test]
-    fn reweight_with_no_updates_is_a_no_op() {
-        let mut t = builders::paper_example();
-        let before = t.subtree_weight_table().to_vec();
-        t.reweight(&[]);
-        assert_eq!(t.subtree_weight_table(), &before[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "reweight targets data nodes")]
-    fn reweight_rejects_index_nodes() {
-        let mut t = builders::paper_example();
-        let n2 = t.find_by_label("2").unwrap();
-        t.reweight(&[(n2, Weight::from(1u32))]);
     }
 }

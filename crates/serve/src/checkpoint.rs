@@ -38,8 +38,11 @@ use std::path::{Path, PathBuf};
 /// Manifest magic: `"BCKP"` as little-endian ASCII words.
 const MANIFEST_MAGIC: u32 = 0x504B_4342;
 
-/// Manifest format version this build writes and reads.
-const MANIFEST_VERSION: u32 = 1;
+/// Manifest format version this build writes and reads. Version 2
+/// dropped version 1's per-tenant rebuild-lane word, three window
+/// counters and the estimator's dirty list; older manifests are refused
+/// like any other version skew.
+const MANIFEST_VERSION: u32 = 2;
 
 /// Endianness sentinel (same convention as the snapshot wire format).
 const ENDIAN_MARK: u32 = 0x0102_0304;
@@ -61,10 +64,6 @@ pub enum CheckpointError {
     /// restore from. Corrupt newer generations have already been
     /// skipped by the time this is returned.
     NoValidManifest,
-    /// A tenant on the delta rebuild lane cannot be checkpointed: the
-    /// delta lane patches against its live boot tree, which the
-    /// manifest does not carry.
-    DeltaLaneUnsupported,
     /// The manifest belongs to a different scenario spec than the one
     /// supplied to the restore (driver restores only).
     SpecMismatch,
@@ -76,9 +75,6 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io(kind) => write!(f, "checkpoint I/O failed: {kind}"),
             CheckpointError::NoValidManifest => {
                 write!(f, "no valid checkpoint manifest in the directory")
-            }
-            CheckpointError::DeltaLaneUnsupported => {
-                write!(f, "delta-lane tenants cannot be checkpointed")
             }
             CheckpointError::SpecMismatch => {
                 write!(f, "checkpoint was taken under a different scenario spec")
@@ -485,13 +481,11 @@ impl ServeLoop {
     /// stacks and is not capturable.
     ///
     /// # Errors
-    /// [`CheckpointError::DeltaLaneUnsupported`] if any tenant rebuilds
-    /// through the delta lane; [`CheckpointError::Io`] on filesystem
-    /// failure.
+    /// [`CheckpointError::Io`] on filesystem failure.
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<PathBuf, CheckpointError> {
         let mut w = WordWriter::new();
         w.u32(SECTION_SERVICE);
-        self.export_state(&mut w)?;
+        self.export_state(&mut w);
         write_manifest(dir.as_ref(), self.slices_run(), &w.words)
     }
 
@@ -532,10 +526,10 @@ impl ServeLoop {
 pub(crate) fn write_driver_manifest(
     dir: &Path,
     slice: u64,
-    build: impl FnOnce(&mut WordWriter) -> Result<(), CheckpointError>,
+    build: impl FnOnce(&mut WordWriter),
 ) -> Result<PathBuf, CheckpointError> {
     let mut w = WordWriter::new();
-    build(&mut w)?;
+    build(&mut w);
     write_manifest(dir, slice, &w.words)
 }
 

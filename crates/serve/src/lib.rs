@@ -43,7 +43,7 @@ pub use scenario::{
     TenantPhaseReport,
 };
 pub use service::{PoolStats, ServeLoop};
-pub use tenant::{RebuildLane, TenantConfig, TenantRuntime};
+pub use tenant::{TenantConfig, TenantRuntime};
 
 /// Installs (once, process-wide) a panic hook that swallows the report
 /// for panics whose payload contains `"chaos poison"` — the marker every

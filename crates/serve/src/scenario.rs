@@ -18,7 +18,7 @@
 
 use crate::checkpoint::{self, CheckpointError, WordReader, WordWriter, SECTION_DRIVER};
 use crate::service::{PoolStats, ServeLoop};
-use crate::tenant::{RebuildLane, TenantConfig};
+use crate::tenant::TenantConfig;
 use bcast_types::{SloSnapshot, SloSpec, SloViolation};
 use bcast_workloads::{PhaseSpec, ScenarioSpec};
 use std::path::{Path, PathBuf};
@@ -141,10 +141,7 @@ impl ScenarioOutcome {
     /// runs are bit-identical iff their fingerprints match — the cheap
     /// cross-thread-count and cross-rerun determinism check. The
     /// snapshots' `rebuild_wall_ns` side channel is excluded, exactly as
-    /// it is from `SloSnapshot`'s equality; the rebuild-lane counters
-    /// (`delta_rebuilds`, `full_rebuilds`, `touched_ppm`) are *included*,
-    /// so the delta/full fallback decision itself is pinned deterministic.
-    /// `snapshot_loads` is also included (despite being excluded from
+    /// it is from `SloSnapshot`'s equality. `snapshot_loads` is also included (despite being excluded from
     /// snapshot equality): which joins took the boot-image fast path is
     /// deterministic in the scenario script, so churn runs pin it. The
     /// robustness counters (`quarantined`, `readmitted`, `shed_requests`)
@@ -176,9 +173,6 @@ impl ScenarioOutcome {
                     s.rebuilds,
                     s.degraded_rebuilds,
                     s.rebuild_downtime_slots,
-                    s.delta_rebuilds,
-                    s.full_rebuilds,
-                    s.touched_ppm,
                     s.snapshot_loads,
                     s.quarantined,
                     s.readmitted,
@@ -198,9 +192,6 @@ fn tenant_config(id: u64, spec: &ScenarioSpec) -> TenantConfig {
     let mut config = TenantConfig::new(id, spec.items_per_tenant);
     config.fanout = spec.fanout;
     config.channels = spec.channels;
-    if let Some(max_touched) = spec.delta_max_touched {
-        config.rebuild_lane = RebuildLane::Delta { max_touched };
-    }
     config
 }
 
@@ -383,7 +374,7 @@ impl ScenarioDriver {
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<PathBuf, CheckpointError> {
         checkpoint::write_driver_manifest(dir.as_ref(), self.svc.slices_run(), |w| {
             w.u32(SECTION_DRIVER);
-            self.svc.export_state(w)?;
+            self.svc.export_state(w);
             w.u64(spec_tag(&self.spec));
             w.u64(self.phase_idx as u64);
             w.u32(self.slices_done);
@@ -398,7 +389,6 @@ impl ScenarioDriver {
                     write_snapshot(w, &t.snapshot);
                 }
             }
-            Ok(())
         })
     }
 
@@ -512,7 +502,6 @@ fn spec_tag(spec: &ScenarioSpec) -> u64 {
     h = eat(h, spec.items_per_tenant as u64);
     h = eat(h, spec.fanout as u64);
     h = eat(h, spec.channels as u64);
-    h = eat(h, spec.delta_max_touched.map_or(0, f64::to_bits));
     h = eat(h, spec.slice_budget.unwrap_or(u64::MAX));
     h = eat(h, spec.phases.len() as u64);
     for p in &spec.phases {
@@ -540,9 +529,6 @@ fn write_snapshot(w: &mut WordWriter, s: &SloSnapshot) {
     w.u64(s.rebuilds);
     w.u64(s.degraded_rebuilds);
     w.u64(s.rebuild_downtime_slots);
-    w.u64(s.delta_rebuilds);
-    w.u64(s.full_rebuilds);
-    w.u64(s.touched_ppm);
     w.u64(s.snapshot_loads);
     w.u64(s.skipped_rebuilds);
     w.u64(s.rebuild_wall_ns);
@@ -565,9 +551,6 @@ fn read_snapshot(r: &mut WordReader<'_>) -> Option<SloSnapshot> {
         rebuilds: r.u64()?,
         degraded_rebuilds: r.u64()?,
         rebuild_downtime_slots: r.u64()?,
-        delta_rebuilds: r.u64()?,
-        full_rebuilds: r.u64()?,
-        touched_ppm: r.u64()?,
         snapshot_loads: r.u64()?,
         skipped_rebuilds: r.u64()?,
         rebuild_wall_ns: r.u64()?,

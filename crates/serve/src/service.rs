@@ -26,8 +26,8 @@
 //!   placement cannot affect any tenant's outcome anyway (isolation), so
 //!   scheduling is free to chase balance.
 
-use crate::checkpoint::{CheckpointError, WordReader, WordWriter};
-use crate::tenant::{mix2, RebuildLane, TenantConfig, TenantRuntime};
+use crate::checkpoint::{WordReader, WordWriter};
+use crate::tenant::{mix2, TenantConfig, TenantRuntime};
 use bcast_channel::SnapshotImage;
 use bcast_core::publish::PublishHeuristic;
 use bcast_types::WorkerPool;
@@ -262,7 +262,7 @@ impl ServeLoop {
     ///
     /// The boot path picks itself: if an earlier join with the same
     /// boot identity (items, fanout, channels, heuristic) deposited a
-    /// snapshot image, a full-lane tenant cold-starts from it through
+    /// snapshot image, the tenant cold-starts from it through
     /// the real binary round-trip ([`TenantRuntime::from_snapshot`]) —
     /// bit-identical serving, microseconds instead of a publish. The
     /// first join of each shape pays the boot publish and deposits its
@@ -278,10 +278,7 @@ impl ServeLoop {
         );
         self.next_id = self.next_id.max(id + 1);
         let key = boot_key(&config);
-        let cached = (config.rebuild_lane == RebuildLane::Full)
-            .then(|| self.boot_images.iter().find(|(k, _)| *k == key))
-            .flatten();
-        let runtime = match cached {
+        let runtime = match self.boot_images.iter().find(|(k, _)| *k == key) {
             Some((_, image)) => {
                 let view = image.view().expect("cached boot images are self-captured");
                 let t = TenantRuntime::from_snapshot(config, self.seed, &view)
@@ -291,9 +288,7 @@ impl ServeLoop {
             }
             None => {
                 let t = TenantRuntime::new(config, self.seed);
-                if t.config().rebuild_lane == RebuildLane::Full {
-                    self.boot_images.push((key, t.snapshot_image()));
-                }
+                self.boot_images.push((key, t.snapshot_image()));
                 t
             }
         };
@@ -529,18 +524,7 @@ impl ServeLoop {
     /// pool, scheduler scratch and wall-clock stats are execution-side
     /// and excluded (a restore at a different thread count is still
     /// bit-identical).
-    ///
-    /// # Errors
-    /// [`CheckpointError::DeltaLaneUnsupported`] if any tenant rebuilds
-    /// through the delta lane.
-    pub(crate) fn export_state(&self, w: &mut WordWriter) -> Result<(), CheckpointError> {
-        if self
-            .tenants
-            .iter()
-            .any(|t| t.config().rebuild_lane != RebuildLane::Full)
-        {
-            return Err(CheckpointError::DeltaLaneUnsupported);
-        }
+    pub(crate) fn export_state(&self, w: &mut WordWriter) {
         w.u64(self.seed);
         w.u64(self.next_id);
         w.u64(self.slices_run);
@@ -578,7 +562,6 @@ impl ServeLoop {
             let span = w.len() - start;
             w.patch(at, u32::try_from(span).expect("tenant block fits u32"));
         }
-        Ok(())
     }
 
     /// Rebuilds a service from [`export_state`](Self::export_state)'s
@@ -995,7 +978,7 @@ mod tests {
         svc.set_slice_budget(Some(400));
         svc.run_slices(3);
         let mut w = WordWriter::new();
-        svc.export_state(&mut w).unwrap();
+        svc.export_state(&mut w);
         let words = w.into_words();
         let mut restored = ServeLoop::import_state(&mut WordReader::new(&words), 4)
             .expect("self-exported state must import");

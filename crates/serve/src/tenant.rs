@@ -20,7 +20,6 @@ use bcast_channel::{
     snapshot::{SnapshotError, SnapshotView},
 };
 use bcast_core::publish::{PublishHeuristic, PublishOptions, Publisher};
-use bcast_core::{DeltaLane, DeltaOptions};
 use bcast_index_tree::{knary, IndexTree};
 use bcast_types::{mix64, NodeId, SloSnapshot, SloSpec, SloViolation, Weight};
 use bcast_workloads::{DemandShape, DemandSpec, FaultScenario, TaggedAliasTable};
@@ -68,32 +67,6 @@ struct Quarantine {
     next_backoff: u64,
 }
 
-/// Which republish machinery a tenant's rebuilds run through.
-///
-/// The delta lane keeps the boot-time index-tree *structure* and only
-/// repairs weights, schedule order and routes incrementally
-/// ([`bcast_core::delta`]); the full lane re-derives the weight-balanced
-/// tree from scratch every rebuild. Both swap the double-buffered program
-/// atomically, so downtime is zero either way — the lane trades
-/// structural adaptivity for O(changed) rebuild cost.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum RebuildLane {
-    /// Rebuild the tree and republish everything (the PR6 behavior; the
-    /// default, so existing scenario fingerprints replay unchanged).
-    #[default]
-    Full,
-    /// Diff the estimator's changed weights against the served program
-    /// and patch in place when at most `max_touched` of the schedule
-    /// moved, falling back to a full publish past the threshold. The
-    /// index-tree *structure* stays fixed at its boot shape — only
-    /// weights and the allocation adapt (the documented trade of this
-    /// lane; tenants whose catalog shape must track demand keep `Full`).
-    Delta {
-        /// Fallback threshold as a fraction of schedule positions.
-        max_touched: f64,
-    },
-}
-
 /// Static configuration of one tenant.
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
@@ -126,8 +99,6 @@ pub struct TenantConfig {
     pub degradation: Option<DegradationPolicy>,
     /// Client recovery budget under channel faults.
     pub recovery: RecoveryPolicy,
-    /// Republish machinery: full rebuilds or the incremental delta lane.
-    pub rebuild_lane: RebuildLane,
 }
 
 impl TenantConfig {
@@ -146,7 +117,6 @@ impl TenantConfig {
             rebuild_min_drift: None,
             degradation: Some(DegradationPolicy::default()),
             recovery: RecoveryPolicy::default(),
-            rebuild_lane: RebuildLane::Full,
         }
     }
 }
@@ -164,12 +134,6 @@ struct Window {
     rebuilds: u64,
     degraded_rebuilds: u64,
     downtime_slots: u64,
-    delta_rebuilds: u64,
-    full_rebuilds: u64,
-    /// Schedule positions touched / positions total, summed over the
-    /// window's rebuilds (exact integers → deterministic ppm).
-    touched_nodes: u64,
-    touched_total: u64,
     /// Programs installed from a snapshot image during the window.
     snapshot_loads: u64,
     /// Periodic republish points gated off by `rebuild_min_drift`.
@@ -198,10 +162,6 @@ impl Window {
             rebuilds: 0,
             degraded_rebuilds: 0,
             downtime_slots: 0,
-            delta_rebuilds: 0,
-            full_rebuilds: 0,
-            touched_nodes: 0,
-            touched_total: 0,
             snapshot_loads: 0,
             skipped_rebuilds: 0,
             rebuild_wall_ns: 0,
@@ -232,11 +192,6 @@ impl Window {
             rebuilds: self.rebuilds,
             degraded_rebuilds: self.degraded_rebuilds,
             rebuild_downtime_slots: self.downtime_slots,
-            delta_rebuilds: self.delta_rebuilds,
-            full_rebuilds: self.full_rebuilds,
-            touched_ppm: (self.touched_nodes * 1_000_000)
-                .checked_div(self.touched_total)
-                .unwrap_or(0),
             snapshot_loads: self.snapshot_loads,
             skipped_rebuilds: self.skipped_rebuilds,
             rebuild_wall_ns: self.rebuild_wall_ns,
@@ -296,14 +251,9 @@ pub struct TenantRuntime {
     /// EWMA of recent slice request counts — the deterministic cost
     /// input to the service's load-balanced lane assignment.
     ewma_cost: u64,
-    /// Popularity snapshot the next rebuild consumes, patched in place
-    /// from the estimator's changed set — rebuilds no longer clone the
-    /// full weight vector.
+    /// Popularity snapshot the next rebuild consumes, overwritten in
+    /// place by [`EmaEstimator::publish_weights`] (no per-rebuild clone).
     weights: Vec<Weight>,
-    /// Scratch for [`EmaEstimator::drain_changed`] (item-indexed).
-    changes: Vec<(u32, Weight)>,
-    /// The same changes mapped onto tree data nodes for the delta lane.
-    node_changes: Vec<(NodeId, Weight)>,
     /// Panic-quarantine state (`None` = healthy).
     quarantine: Option<Quarantine>,
     /// Admission cap for the *next* slice, set by the service's overload
@@ -365,8 +315,6 @@ impl TenantRuntime {
             session: ServeSession::new(),
             ewma_cost: 0,
             weights,
-            changes: Vec::new(),
-            node_changes: Vec::new(),
             quarantine: None,
             admitted_cap: None,
             chaos_panic_slices: Vec::new(),
@@ -389,9 +337,7 @@ impl TenantRuntime {
     ///
     /// The boot index tree is *not* reconstructed (that is the cost
     /// being skipped); a one-node stand-in holds its place until the
-    /// first rebuild derives a fresh tree from estimator weights, which
-    /// is why only [`RebuildLane::Full`] tenants may boot this way —
-    /// the delta lane patches against the boot tree's structure.
+    /// first rebuild derives a fresh tree from estimator weights.
     ///
     /// # Errors
     /// [`SnapshotError::Corrupt`] if the image's catalog size or channel
@@ -399,7 +345,7 @@ impl TenantRuntime {
     /// the wrong catalog.
     ///
     /// # Panics
-    /// Panics if `config.items == 0` or the lane is not `Full`.
+    /// Panics if `config.items == 0`.
     ///
     /// [`new`]: TenantRuntime::new
     pub fn from_snapshot(
@@ -408,10 +354,6 @@ impl TenantRuntime {
         view: &SnapshotView<'_>,
     ) -> Result<Self, SnapshotError> {
         assert!(config.items > 0, "tenant needs at least one item");
-        assert!(
-            config.rebuild_lane == RebuildLane::Full,
-            "snapshot cold-start requires the full rebuild lane"
-        );
         if view.num_data() != config.items {
             return Err(SnapshotError::Corrupt(
                 "snapshot catalog size does not match the tenant config",
@@ -456,8 +398,6 @@ impl TenantRuntime {
             session: ServeSession::new(),
             ewma_cost: 0,
             weights,
-            changes: Vec::new(),
-            node_changes: Vec::new(),
             quarantine: None,
             admitted_cap: None,
             chaos_panic_slices: Vec::new(),
@@ -817,75 +757,29 @@ impl TenantRuntime {
 
     /// Republishes from the estimator's current weights through the
     /// double-buffered swap: the old program serves until the new one is
-    /// compiled, then `current()` flips. The configured [`RebuildLane`]
-    /// picks the machinery — a full tree rebuild + publish, or the
-    /// incremental delta lane patching the served schedule in place —
-    /// and the window's lane counters and wall-clock side channel record
-    /// which path ran and how much of the schedule it touched.
+    /// compiled, then `current()` flips. The weight-balanced tree is
+    /// re-derived from scratch, so node ids change and the demand
+    /// sampler's tags are invalidated; the window's wall-clock side
+    /// channel records the rebuild's cost.
     fn rebuild(&mut self) {
         let started = Instant::now();
-        // O(changed) estimator handoff, shared by both lanes: the
-        // persistent snapshot absorbs only the weights that moved.
-        self.changes.clear();
-        self.estimator.drain_changed(&mut self.changes);
-        for &(i, w) in &self.changes {
-            self.weights[i as usize] = w;
-        }
-        match self.config.rebuild_lane {
-            RebuildLane::Full => {
-                let tree =
-                    knary::build_weight_balanced_unlabeled(&self.weights, self.config.fanout)
-                        .expect("estimator weights are positive");
-                self.publisher
-                    .publish(
-                        &tree,
-                        self.config.channels,
-                        self.config.heuristic,
-                        PublishOptions::default(),
-                    )
-                    .expect("bundled heuristics produce feasible allocations");
-                self.data_nodes.clear();
-                self.data_nodes.extend_from_slice(tree.data_nodes());
-                self.tree = tree;
-                // The sampler's tags bake in the item→node map this
-                // rebuild just reminted — invalidate so the next serving
-                // slice re-tags (the delta lane keeps node ids stable
-                // and skips this).
-                self.sampler_shape = None;
-                self.window.full_rebuilds += 1;
-                let total = self.tree.len() as u64;
-                self.window.touched_nodes += total;
-                self.window.touched_total += total;
-            }
-            RebuildLane::Delta { max_touched } => {
-                // Structure stays at its boot shape: only weights move,
-                // so `data_nodes` keeps mapping item i → leaf i.
-                self.node_changes.clear();
-                self.node_changes.extend(
-                    self.changes
-                        .iter()
-                        .map(|&(i, w)| (self.data_nodes[i as usize], w)),
-                );
-                self.tree.reweight(&self.node_changes);
-                let report = self
-                    .publisher
-                    .republish_delta(
-                        &self.tree,
-                        &self.node_changes,
-                        self.config.channels,
-                        self.config.heuristic,
-                        PublishOptions::default(),
-                        DeltaOptions { max_touched },
-                    )
-                    .expect("bundled heuristics produce feasible allocations");
-                match report.lane {
-                    DeltaLane::Patched => self.window.delta_rebuilds += 1,
-                    DeltaLane::Full(_) => self.window.full_rebuilds += 1,
-                }
-                self.window.touched_nodes += report.touched as u64;
-                self.window.touched_total += report.total as u64;
-            }
-        }
+        self.estimator.publish_weights(&mut self.weights);
+        let tree = knary::build_weight_balanced_unlabeled(&self.weights, self.config.fanout)
+            .expect("estimator weights are positive");
+        self.publisher
+            .publish(
+                &tree,
+                self.config.channels,
+                self.config.heuristic,
+                PublishOptions::default(),
+            )
+            .expect("bundled heuristics produce feasible allocations");
+        self.data_nodes.clear();
+        self.data_nodes.extend_from_slice(tree.data_nodes());
+        self.tree = tree;
+        // The sampler's tags bake in the item→node map this rebuild just
+        // reminted — invalidate so the next serving slice re-tags.
+        self.sampler_shape = None;
         self.window.rebuilds += 1;
         self.window.max_cycle_len = self.window.max_cycle_len.max(self.cycle_len());
         self.total_rebuilds += 1;
@@ -949,13 +843,6 @@ impl TenantRuntime {
         w.u64(c.recovery.timeout_slots);
         w.u32(c.recovery.backoff_cap);
         w.u32(c.recovery.root_replicas);
-        match c.rebuild_lane {
-            RebuildLane::Full => w.u32(0),
-            RebuildLane::Delta { max_touched } => {
-                w.u32(1);
-                w.f64(max_touched);
-            }
-        }
 
         // Phase script. The fault scenario's `&'static str` name cannot
         // round-trip; it never reaches serving, so restore substitutes a
@@ -1035,10 +922,6 @@ impl TenantRuntime {
             win.rebuilds,
             win.degraded_rebuilds,
             win.downtime_slots,
-            win.delta_rebuilds,
-            win.full_rebuilds,
-            win.touched_nodes,
-            win.touched_total,
             win.snapshot_loads,
             win.skipped_rebuilds,
             win.rebuild_wall_ns,
@@ -1125,8 +1008,7 @@ impl TenantRuntime {
     ///
     /// Mirrors [`from_snapshot`](Self::from_snapshot): the boot index
     /// tree is a one-leaf stand-in until the next full rebuild derives
-    /// the real one from the restored weights, so only
-    /// [`RebuildLane::Full`] tenants restore this way.
+    /// the real one from the restored weights.
     /// `cache` is the already-restored boot-image section of the same
     /// manifest, each image pre-decoded to its program once by the
     /// service: a by-reference program record clones the shared decode
@@ -1172,18 +1054,6 @@ impl TenantRuntime {
             backoff_cap: r.u32()?,
             root_replicas: r.u32()?,
         };
-        let rebuild_lane = match r.u32()? {
-            0 => RebuildLane::Full,
-            1 => RebuildLane::Delta {
-                max_touched: r.f64()?,
-            },
-            _ => return None,
-        };
-        if rebuild_lane != RebuildLane::Full {
-            // The delta lane patches against the live boot tree, which a
-            // checkpoint does not carry (documented restore limit).
-            return None;
-        }
         let config = TenantConfig {
             id,
             items,
@@ -1195,7 +1065,6 @@ impl TenantRuntime {
             rebuild_min_drift,
             degradation,
             recovery,
-            rebuild_lane,
         };
 
         let shape = match r.u32()? {
@@ -1269,7 +1138,7 @@ impl TenantRuntime {
             return None;
         }
         let max_cycle_len = r.u32()?;
-        let mut tail = [0u64; 14];
+        let mut tail = [0u64; 10];
         for slot in &mut tail {
             *slot = r.u64()?;
         }
@@ -1283,17 +1152,13 @@ impl TenantRuntime {
             rebuilds: tail[0],
             degraded_rebuilds: tail[1],
             downtime_slots: tail[2],
-            delta_rebuilds: tail[3],
-            full_rebuilds: tail[4],
-            touched_nodes: tail[5],
-            touched_total: tail[6],
-            snapshot_loads: tail[7],
-            skipped_rebuilds: tail[8],
-            rebuild_wall_ns: tail[9],
-            alias_rebuilds: tail[10],
-            quarantined: tail[11],
-            readmitted: tail[12],
-            shed: tail[13],
+            snapshot_loads: tail[3],
+            skipped_rebuilds: tail[4],
+            rebuild_wall_ns: tail[5],
+            alias_rebuilds: tail[6],
+            quarantined: tail[7],
+            readmitted: tail[8],
+            shed: tail[9],
         };
 
         let est_words = r.u64_vec()?;
@@ -1412,8 +1277,6 @@ impl TenantRuntime {
             session: ServeSession::new(),
             ewma_cost,
             weights,
-            changes: Vec::new(),
-            node_changes: Vec::new(),
             quarantine,
             admitted_cap: None,
             chaos_panic_slices,
@@ -1544,43 +1407,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_lane_serves_with_zero_downtime_and_counts_lanes() {
-        let mut config = TenantConfig::new(5, 64);
-        config.rebuild_lane = RebuildLane::Delta { max_touched: 0.25 };
-        let mut t = TenantRuntime::new(config, 0xDE17A);
-        t.begin_phase(demand(300), None, SloSpec::lossless(), 24);
-        for _ in 0..24 {
-            t.run_slice();
-        }
-        let snap = t.phase_snapshot();
-        assert_eq!(snap.requests, snap.delivered, "lossless channel");
-        assert_eq!(snap.rebuild_downtime_slots, 0, "swap stays double-buffered");
-        assert!(snap.rebuilds >= 2, "periodic republish every 8 slices");
-        assert_eq!(
-            snap.delta_rebuilds + snap.full_rebuilds,
-            snap.rebuilds,
-            "every rebuild is attributed to exactly one lane"
-        );
-        assert!(t.phase_violations().is_empty(), "{snap:?}");
-    }
-
-    #[test]
-    fn delta_lane_replays_bit_identically() {
-        let run = |_attempt: u64| {
-            let mut config = TenantConfig::new(9, 48);
-            config.rebuild_lane = RebuildLane::Delta { max_touched: 0.1 };
-            let mut t = TenantRuntime::new(config, 0xFACE);
-            t.begin_phase(demand(200), None, SloSpec::lossless(), 16);
-            for _ in 0..16 {
-                t.run_slice();
-            }
-            t.phase_snapshot()
-        };
-        // Wall ns differs between the runs; equality must hold anyway.
-        assert_eq!(run(0), run(1));
-    }
-
-    #[test]
     fn snapshot_cold_start_serves_bit_identically() {
         let config = TenantConfig::new(4, 40);
         let mut cold = TenantRuntime::new(config.clone(), 0xB007);
@@ -1654,34 +1480,19 @@ mod tests {
     }
 
     #[test]
-    fn full_republish_retags_the_sampler_and_the_delta_lane_does_not() {
-        // The fused sampler bakes item→node tags in, so a *full*
-        // republish (new tree, new node ids) must re-tag on the next
-        // serving slice; the delta lane keeps node ids stable and the
-        // cache survives its republishes.
-        let run = |lane: RebuildLane| {
-            let mut config = TenantConfig::new(3, 32);
-            config.degradation = None; // periodic rebuilds only
-            config.rebuild_lane = lane;
-            let mut t = TenantRuntime::new(config, 0xA11A5);
-            t.begin_phase(demand(100), None, SloSpec::lossless(), 12);
-            for _ in 0..12 {
-                t.run_slice();
-            }
-            let snap = t.phase_snapshot();
-            assert_eq!(snap.rebuilds, 1, "one periodic republish at slice 8");
-            snap.alias_rebuilds
-        };
-        assert_eq!(
-            run(RebuildLane::Full),
-            2,
-            "cold build + post-republish re-tag"
-        );
-        assert_eq!(
-            run(RebuildLane::Delta { max_touched: 0.5 }),
-            1,
-            "cold build only; delta republishes keep the cache"
-        );
+    fn full_republish_retags_the_sampler() {
+        // The fused sampler bakes item→node tags in, so a full republish
+        // (new tree, new node ids) must re-tag on the next serving slice.
+        let mut config = TenantConfig::new(3, 32);
+        config.degradation = None; // periodic rebuilds only
+        let mut t = TenantRuntime::new(config, 0xA11A5);
+        t.begin_phase(demand(100), None, SloSpec::lossless(), 12);
+        for _ in 0..12 {
+            t.run_slice();
+        }
+        let snap = t.phase_snapshot();
+        assert_eq!(snap.rebuilds, 1, "one periodic republish at slice 8");
+        assert_eq!(snap.alias_rebuilds, 2, "cold build + post-republish re-tag");
     }
 
     #[test]

@@ -37,24 +37,50 @@ pub fn allocation_count() -> u64 {
 /// blocks would only add noise.
 pub struct CountingAlloc;
 
+/// Bumps the calling thread's counter. Never allocates, so it is safe to
+/// call from inside the allocator: the thread-local is `const`-initialized
+/// and `Cell<u64>` has no destructor, so access needs no lazy
+/// initialization and no destructor registration — and with no
+/// destructor the slot never enters a destroyed state in which `with`
+/// could panic.
+#[inline]
+fn count_one() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only extra work is
+// `count_one`, which neither allocates (no re-entry) nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
+        count_one();
+        // SAFETY: the caller's contract (`layout` has non-zero size) is
+        // exactly `System.alloc`'s, and `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        System.alloc_zeroed(layout)
+        count_one();
+        // SAFETY: as in `alloc` — the caller's `layout` is forwarded
+        // unchanged under the same contract.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
+        count_one();
+        // SAFETY: the caller guarantees `ptr` was allocated by this
+        // allocator with `layout`; every block this allocator hands out
+        // comes from `System` with that same layout, so `ptr` and
+        // `layout` satisfy `System.realloc`'s contract, and `new_size`
+        // carries the caller's size guarantee through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr` was allocated by this allocator with `layout`,
+        // i.e. by `System` with `layout` (see `realloc`), which is what
+        // `System.dealloc` requires.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

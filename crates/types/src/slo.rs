@@ -102,15 +102,6 @@ pub struct SloSnapshot {
     pub degraded_rebuilds: u64,
     /// Slots spent with requests pending but no servable program.
     pub rebuild_downtime_slots: u64,
-    /// Rebuilds the incremental delta lane patched in place.
-    pub delta_rebuilds: u64,
-    /// Rebuilds that ran the full publish path (delta fallbacks included).
-    pub full_rebuilds: u64,
-    /// Parts-per-million of schedule nodes touched across the window's
-    /// rebuilds (`Σ touched · 10⁶ / Σ total`; a full rebuild touches
-    /// everything, a quiet delta patch close to nothing). `0` when no
-    /// rebuild ran.
-    pub touched_ppm: u64,
     /// Programs installed from a validated snapshot image instead of a
     /// boot publish during the window (tenant cold-starts). The served
     /// program is bit-identical either way, so — like
@@ -172,10 +163,7 @@ impl PartialEq for SloSnapshot {
             && self.rebuilds == other.rebuilds
             && self.degraded_rebuilds == other.degraded_rebuilds
             && self.rebuild_downtime_slots == other.rebuild_downtime_slots
-            && self.delta_rebuilds == other.delta_rebuilds
-            && self.full_rebuilds == other.full_rebuilds
             && self.skipped_rebuilds == other.skipped_rebuilds
-            && self.touched_ppm == other.touched_ppm
             && self.quarantined == other.quarantined
             && self.readmitted == other.readmitted
             && self.shed_requests == other.shed_requests
@@ -341,9 +329,7 @@ mod tests {
     fn wall_time_is_a_side_channel_not_part_of_equality() {
         let a = SloSnapshot {
             rebuild_wall_ns: 12_345,
-            delta_rebuilds: 3,
-            full_rebuilds: 1,
-            touched_ppm: 480,
+            rebuilds: 4,
             ..healthy()
         };
         let b = SloSnapshot {
@@ -361,11 +347,8 @@ mod tests {
             ..a
         };
         assert_eq!(a, cold_cache, "alias caching must not break equality");
-        let c = SloSnapshot {
-            delta_rebuilds: 4,
-            ..a
-        };
-        assert_ne!(a, c, "lane counters are deterministic and compared");
+        let c = SloSnapshot { rebuilds: 5, ..a };
+        assert_ne!(a, c, "rebuild counters are deterministic and compared");
         let gated = SloSnapshot {
             skipped_rebuilds: 2,
             ..a

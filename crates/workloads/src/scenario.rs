@@ -267,12 +267,6 @@ pub struct ScenarioSpec {
     pub fanout: usize,
     /// Broadcast channels per tenant.
     pub channels: usize,
-    /// When set, every tenant routes its rebuilds through the serving
-    /// loop's incremental delta lane with this fallback threshold
-    /// (fraction of schedule positions; `None` = full rebuilds, the
-    /// canonical behavior). Plain data here — the serve crate maps it
-    /// onto its `RebuildLane`.
-    pub delta_max_touched: Option<f64>,
     /// When set, the serving loop admits at most this many requests per
     /// slice across the whole roster, shedding the excess from
     /// over-quota tenants first (`None` = admit everything, the
@@ -287,14 +281,6 @@ impl ScenarioSpec {
     /// Total time slices across all phases.
     pub fn total_slices(&self) -> u64 {
         self.phases.iter().map(|p| u64::from(p.slices)).sum()
-    }
-
-    /// Routes every tenant's rebuilds through the incremental delta lane
-    /// with fallback threshold `max_touched` — the same script replayed
-    /// through the other republish machinery.
-    pub fn with_delta_lane(mut self, max_touched: f64) -> Self {
-        self.delta_max_touched = Some(max_touched);
-        self
     }
 
     /// Caps the roster's total admitted requests per slice at `budget`
@@ -364,7 +350,6 @@ pub fn flash_crowd(tenants: usize, items: usize, rate: u32, slices: u32) -> Scen
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("calm", slices, calm(rate), SloSpec::lossless()),
@@ -417,7 +402,6 @@ pub fn diurnal_drift(tenants: usize, items: usize, rate: u32, slices: u32) -> Sc
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform(
@@ -465,7 +449,6 @@ pub fn brownout(tenants: usize, items: usize, rate: u32, slices: u32) -> Scenari
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("clean", slices, calm(rate), SloSpec::lossless()),
@@ -496,7 +479,6 @@ pub fn tenant_churn(tenants: usize, items: usize, rate: u32, slices: u32) -> Sce
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("steady", slices, calm(rate), SloSpec::lossless()),
@@ -537,7 +519,6 @@ pub fn overload_storm(tenants: usize, items: usize, rate: u32, slices: u32) -> S
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
         slice_budget: Some(2 * tenants as u64 * u64::from(rate)),
         phases: vec![
             PhaseSpec::uniform("calm", slices, calm(rate), SloSpec::lossless()),
@@ -573,7 +554,6 @@ pub fn poison_pill(tenants: usize, items: usize, rate: u32, slices: u32) -> Scen
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("calm", slices, calm(rate), SloSpec::lossless()),

@@ -123,7 +123,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     "slices",
                     "threads",
                     "seed",
-                    "delta",
                     "budget",
                     "checkpoint-dir",
                     "checkpoint-every",
@@ -155,11 +154,8 @@ commands:
   serve      multi-tenant scenario service    --scenario flash-crowd|diurnal-drift|brownout|tenant-churn|
                                                          overload-storm|poison-pill|all
                                               [--tenants N] [--items N] [--rate R] [--slices S]
-                                              [--threads T] [--seed S] [--delta MAX_TOUCHED]
-                                              [--budget REQUESTS_PER_SLICE]
+                                              [--threads T] [--seed S] [--budget REQUESTS_PER_SLICE]
                                               [--checkpoint-dir DIR] [--checkpoint-every N] [--restore]
-             --delta routes rebuilds through the incremental republish lane
-             (falls back to a full publish past the MAX_TOUCHED fraction)
              --budget caps admitted requests per slice (water-filling shed)
              --checkpoint-dir writes crash-safe manifests every N slices
              (single scenario only); --restore resumes the newest valid
@@ -549,12 +545,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     if tenants == 0 || items == 0 || slices == 0 {
         return Err("--tenants, --items and --slices must be positive".into());
     }
-    let delta: Option<f64> = opts.parse("delta")?;
-    if let Some(d) = delta {
-        if !(0.0..=1.0).contains(&d) {
-            return Err("--delta must be a fraction in [0, 1]".into());
-        }
-    }
     let budget: Option<u64> = opts.parse("budget")?;
     if budget == Some(0) {
         return Err("--budget must be positive".into());
@@ -580,12 +570,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         "poison-pill" => vec![poison_pill(tenants, items, rate, slices)],
         other => return Err(format!("unknown scenario '{other}' (try `all`)")),
     };
-    if let Some(max_touched) = delta {
-        specs = specs
-            .into_iter()
-            .map(|s| s.with_delta_lane(max_touched))
-            .collect();
-    }
     if let Some(b) = budget {
         specs = specs.into_iter().map(|s| s.with_slice_budget(b)).collect();
     }
@@ -659,16 +643,13 @@ fn print_outcome(outcome: &ScenarioOutcome) -> bool {
         outcome.fingerprint()
     );
     println!(
-        "  {:<12} {:>7} {:>10} {:>9} {:>9} {:>8} {:>6} {:>5} {:>9} {:>10} {:>9} {:>6}  slo",
+        "  {:<12} {:>7} {:>10} {:>9} {:>9} {:>8} {:>10} {:>9} {:>6}  slo",
         "phase",
         "tenants",
         "requests",
         "deliver%",
         "p99 slots",
         "rebuilds",
-        "delta",
-        "full",
-        "touch_ppm",
         "rebuild_ms",
         "downtime",
         "alias"
@@ -683,16 +664,6 @@ fn print_outcome(outcome: &ScenarioOutcome) -> bool {
             .max()
             .unwrap_or(0);
         let rebuilds: u64 = p.tenants.iter().map(|t| t.snapshot.rebuilds).sum();
-        let delta: u64 = p.tenants.iter().map(|t| t.snapshot.delta_rebuilds).sum();
-        let full: u64 = p.tenants.iter().map(|t| t.snapshot.full_rebuilds).sum();
-        // Worst per-tenant touched fraction: full rebuilds read 10⁶ ppm,
-        // a quiet delta patch a few hundred.
-        let touched_ppm = p
-            .tenants
-            .iter()
-            .map(|t| t.snapshot.touched_ppm)
-            .max()
-            .unwrap_or(0);
         let wall_ns: u64 = p.tenants.iter().map(|t| t.snapshot.rebuild_wall_ns).sum();
         let downtime: u64 = p
             .tenants
@@ -706,16 +677,13 @@ fn print_outcome(outcome: &ScenarioOutcome) -> bool {
         let alias: u64 = p.tenants.iter().map(|t| t.snapshot.alias_rebuilds).sum();
         all_held &= violated == 0;
         println!(
-            "  {:<12} {:>7} {:>10} {:>9.3} {:>9} {:>8} {:>6} {:>5} {:>9} {:>10.3} {:>9} {:>6}  {}",
+            "  {:<12} {:>7} {:>10} {:>9.3} {:>9} {:>8} {:>10.3} {:>9} {:>6}  {}",
             p.name,
             p.tenants.len(),
             requests,
             100.0 * p.min_delivery_rate(),
             p99,
             rebuilds,
-            delta,
-            full,
-            touched_ppm,
             wall_ns as f64 / 1e6,
             downtime,
             alias,

@@ -208,10 +208,10 @@ fn serve_runs_a_scenario_and_reports_phases() {
                 }
                 let cols: Vec<&str> = line.split_whitespace().collect();
                 match cols.as_slice() {
-                    // phase rows: ... touch_ppm rebuild_ms downtime alias slo
-                    [.., _ppm, _wall, _downtime, _alias, _slo] if cols.len() == 13 => {
+                    // phase rows: ... rebuilds rebuild_ms downtime alias slo
+                    [.., _rebuilds, _wall, _downtime, _alias, _slo] if cols.len() == 10 => {
                         let mut cols = cols;
-                        cols[9] = "-";
+                        cols[6] = "-";
                         cols.join(" ")
                     }
                     _ => line.to_string(),

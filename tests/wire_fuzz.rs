@@ -8,7 +8,7 @@
 use broadcast_alloc::alloc::heuristics::sorting;
 use broadcast_alloc::alloc::publish::{PublishHeuristic, PublishOptions, Publisher};
 use broadcast_alloc::channel::{wire, BroadcastProgram, SnapshotError, SnapshotImage};
-use broadcast_alloc::serve::{ServeLoop, TenantConfig};
+use broadcast_alloc::serve::{CheckpointError, ServeLoop, TenantConfig};
 use broadcast_alloc::tree::{knary, IndexTree};
 use broadcast_alloc::types::{crc::crc32c, ChannelId, SloSpec};
 use broadcast_alloc::workloads::{DemandShape, DemandSpec, FrequencyDist};
@@ -387,6 +387,35 @@ fn manifest_version_skew_falls_back_even_with_valid_crc() {
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     let dir = stage_generations("skew", &bytes);
     assert_restores_gen_a(&dir, "version skew with re-sealed crc");
+}
+
+/// Manifests written before format version 2 carry fields this build no
+/// longer reads (version 1 had a rebuild-lane word per tenant, three
+/// more window counters and the estimator's dirty list). One sealed as
+/// version 1 — valid CRC and all — is refused through the typed path,
+/// never decoded against the wrong layout.
+#[test]
+fn manifest_sealed_as_version_1_is_refused() {
+    let f = manifest_fixture();
+    let mut words: Vec<u32> = f
+        .gen_b
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect();
+    assert_eq!(words[1], 2, "this build writes format version 2");
+    words[1] = 1;
+    let last = words.len() - 1;
+    words[last] = crc32c(&words[..last]);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let dir = std::env::temp_dir().join(format!("bcast-mf-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(&f.gen_b_name), &bytes).unwrap();
+    assert_eq!(
+        ServeLoop::restore(&dir, 1).err(),
+        Some(CheckpointError::NoValidManifest)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A crash between writing the temp file and renaming it leaves a stale
